@@ -1,6 +1,6 @@
 """Flexible per-trial false positive control with global ENFP budgets.
 
-A numpy/scipy library for populations of confirmatory trials: estimate
+A numpy library for populations of confirmatory trials: estimate
 the effect-size prior from historical Z statistics by semi-parametric
 deconvolution, compute posterior h-probabilities, form frequentist and
 Bayesian upper bounds on the expected number of false positives, track

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
-from enfp.hcurve import h_probability
+from enfp.hcurve import h_values
 from enfp.trials import FailureRegionType, TrialRecord
 
 
@@ -68,13 +68,12 @@ def positive_result(trial: TrialRecord, model) -> PositiveTrialResult:
             f"trial {trial.trial_id} is not classified positive"
         )
     zs = trial.z_values()
-    hs = tuple(h_probability(model, z) for z in zs)
     return PositiveTrialResult(
         trial_id=trial.trial_id,
         m=trial.m,
         failure_type=trial.failure_type,
         z_values=zs,
-        h_values=hs,
+        h_values=tuple(h_values(model, zs)),
         stratum=trial.stratum,
     )
 
@@ -87,8 +86,7 @@ def recompute_result(
     Returns a new result; the original (with its frozen h values) is
     untouched.
     """
-    hs = tuple(h_probability(model, z) for z in trial.z_values)
-    return replace(trial, h_values=hs)
+    return replace(trial, h_values=tuple(h_values(model, trial.z_values)))
 
 
 def trial_contribution(

@@ -6,8 +6,12 @@ a theta grid.  It is nondecreasing in z for any nonnegative prior masses
 (monotone likelihood ratio of the normal kernel), which makes threshold
 inversion well defined.
 
-Accumulation is done in log-space throughout, so the curve stays accurate
-far into both tails.
+Each z is evaluated in one max-shifted pass over the grid points that
+carry mass: the log terms -(z - theta)^2 / 2 + log g(theta) are shifted
+by their row maximum before exponentiation, so the largest term is
+exactly 1 and the total can neither overflow nor underflow.  h is then
+the positive sum over the total, which keeps the curve accurate far
+into both tails.
 """
 
 from __future__ import annotations
@@ -16,15 +20,16 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
-
-from enfp.special import log_norm_pdf
 
 # Grid points with theta <= ZERO_TOLERANCE count as null; strictly above
 # counts as positive efficacy.  Shared with the deconvolution module so
 # that rho (null mass) and the h numerator (positive mass) partition the
 # prior exactly.
 ZERO_TOLERANCE = 1e-12
+
+# Rows of z evaluated per pass of h_values; bounds the working set at
+# _BLOCK x (support size) doubles.
+_BLOCK = 4096
 
 
 class HRangeError(ValueError):
@@ -109,52 +114,77 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _support(model) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The grid points with positive mass, their log masses, and the
+    number k of them that are null.
+
+    ``theta_grid`` is ascending, so the null points (theta <=
+    ZERO_TOLERANCE) are the first k of the support.  The prior has null
+    mass iff k > 0 and positive mass iff k < support size.
+    """
+    theta = np.asarray(model.theta_grid, dtype=float)
+    g = np.asarray(model.masses, dtype=float)
+    keep = g > 0.0
+    theta = theta[keep]
+    k = int(np.searchsorted(theta, ZERO_TOLERANCE, side="right"))
+    return theta, np.log(g[keep]), k
+
+
 def h_values(model, z) -> np.ndarray:
     """Vectorized h(z) = Pr[theta > 0 | Z = z] under the model's prior.
 
+    Each value depends only on its own z, not on the rest of the batch,
+    so ``h_values(model, zs)[i] == h_values(model, zs[i])`` exactly.
+
     Args:
-        model: any object with ``theta_grid`` and ``masses`` arrays.
-        z: scalar or array of z values.
+        model: any object with ``theta_grid`` (ascending) and ``masses``
+            arrays.
+        z: scalar or array of z values; +-inf saturate to the limit at
+            that end of the support.
 
     Returns:
         Array of h probabilities, same shape as ``z``.
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    theta = np.asarray(model.theta_grid, dtype=float)
-    g = np.asarray(model.masses, dtype=float)
-    pos = theta > ZERO_TOLERANCE
-    has_pos = bool(np.any(g[pos] > 0.0))
-    has_null = bool(np.any(g[~pos] > 0.0))
 
-    out = np.empty(z_arr.shape, dtype=float)
-    finite = np.isfinite(z_arr)
-    if np.any(finite):
-        zf = z_arr[finite]
-        log_kernel = log_norm_pdf(zf[:, None] - theta[None, :])
-        log_den = logsumexp(log_kernel, axis=1, b=g[None, :])
-        if has_pos:
-            log_num = logsumexp(
-                log_kernel[:, pos], axis=1, b=g[None, pos]
-            )
-            out[finite] = np.exp(np.minimum(log_num - log_den, 0.0))
-        else:
-            out[finite] = 0.0
+    Raises:
+        ValueError: if any z is NaN.
+    """
+    z_arr = np.asarray(z, dtype=float)
+    n_nan = int(np.count_nonzero(np.isnan(z_arr)))
+    if n_nan:
+        raise ValueError(f"h_values: {n_nan} of {z_arr.size} z values are NaN")
+    theta, log_g, k = _support(model)
+    flat = z_arr.ravel()
+    out = np.empty(flat.shape)
+    finite = np.isfinite(flat)
+    zf = flat[finite]
+    hf = np.empty(zf.shape)
+    for start in range(0, zf.size, _BLOCK):
+        stop = start + _BLOCK
+        lk = zf[start:stop, None] - theta
+        lk *= lk
+        lk *= -0.5
+        lk += log_g
+        lk -= lk.max(axis=1, keepdims=True)
+        np.exp(lk, out=lk)
+        null = lk[:, :k].sum(axis=1)
+        pos = lk[:, k:].sum(axis=1)
+        hf[start:stop] = pos / (null + pos)
+    out[finite] = hf
     # Infinite z saturates to the relevant limit: the posterior piles
     # onto the extreme end of the grid support.
-    out[np.isposinf(z_arr)] = 1.0 if has_pos else 0.0
-    out[np.isneginf(z_arr)] = 0.0 if has_null else 1.0
-    out = np.clip(out, 0.0, 1.0)
-    return out if np.ndim(z) else out.reshape(())
+    out[flat == np.inf] = 1.0 if k < theta.size else 0.0
+    out[flat == -np.inf] = 0.0 if k > 0 else 1.0
+    return out.reshape(z_arr.shape)
 
 
 def h_probability(model, z: float, return_saturation: bool = False):
     """h(z) for a single z, with optional saturation diagnostics.
 
-    The computation runs in log-space, so for finite z the value is
-    well defined even far outside the grid support.  ``saturated`` is
-    reported when the returned value has collapsed to an exact 0 or 1
-    although the prior has mass on both sides (i.e. the minority side
-    underflowed), or when z itself is infinite.
+    The terms are max-shifted before exponentiation, so for finite z the
+    value is well defined even far outside the grid support.
+    ``saturated`` is reported when the returned value has collapsed to an
+    exact 0 or 1 although the prior has mass on both sides (i.e. the
+    minority side underflowed), or when z itself is infinite.
 
     Args:
         model: prior model (theta_grid + masses).
@@ -163,20 +193,16 @@ def h_probability(model, z: float, return_saturation: bool = False):
 
     Returns:
         h in [0, 1], or (h, saturated) when requested.
+
+    Raises:
+        ValueError: if z is NaN.
     """
     h = float(h_values(model, np.asarray([z], dtype=float))[0])
     if not return_saturation:
         return h
-    theta = np.asarray(model.theta_grid, dtype=float)
-    g = np.asarray(model.masses, dtype=float)
-    pos = theta > ZERO_TOLERANCE
-    has_pos = bool(np.any(g[pos] > 0.0))
-    has_null = bool(np.any(g[~pos] > 0.0))
-    saturated = bool(
-        np.isinf(z)
-        or (h == 0.0 and has_pos and has_null)
-        or (h == 1.0 and has_pos and has_null)
-    )
+    theta, _, k = _support(model)
+    both_sides = 0 < k < theta.size
+    saturated = bool(np.isinf(z) or (h in (0.0, 1.0) and both_sides))
     return h, saturated
 
 
@@ -227,13 +253,9 @@ def z_for_h(model, h0: float, tol: float = 1e-8) -> float:
         HRangeError: when h0 is not attainable for this prior (the
             message names the attainable interval).
     """
-    theta = np.asarray(model.theta_grid, dtype=float)
-    g = np.asarray(model.masses, dtype=float)
-    pos = theta > ZERO_TOLERANCE
-    has_pos = bool(np.any(g[pos] > 0.0))
-    has_null = bool(np.any(g[~pos] > 0.0))
-    if not (has_pos and has_null):
-        fixed = 1.0 if has_pos else 0.0
+    support, _, k = _support(model)
+    if not 0 < k < support.size:
+        fixed = 1.0 if k < support.size else 0.0
         raise HRangeError(
             f"h is constant {fixed} for this prior; "
             f"attainable range is [{fixed}, {fixed}]"
@@ -243,9 +265,8 @@ def z_for_h(model, h0: float, tol: float = 1e-8) -> float:
             f"h0={h0} outside the attainable open interval (0, 1)"
         )
 
-    support = theta[g > 0.0]
-    lo = float(support.min()) - 1.0
-    hi = float(support.max()) + 1.0
+    lo = float(support[0]) - 1.0
+    hi = float(support[-1]) + 1.0
     span = max(hi - lo, 1.0)
     for _ in range(80):
         if h_values(model, np.asarray([lo]))[0] < h0:

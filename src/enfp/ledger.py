@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from enfp.bayes_bounds import PositiveTrialResult, positive_result, trial_contribution
 from enfp.freq_bounds import delta
+from enfp.hcurve import h_values
 from enfp.trials import CannotClassifyError, FailureRegionType, TrialRecord
 
 __all__ = [
@@ -560,16 +561,13 @@ class Ledger:
             return positive_result(trial, model)
         # Adjustments may rescue trials that missed their pre-registered
         # threshold, so the positive-outcome gate does not apply.
-        from enfp.hcurve import h_probability
-
         zs = trial.z_values()
-        hs = tuple(h_probability(model, z) for z in zs)
         return PositiveTrialResult(
             trial_id=trial.trial_id,
             m=trial.m,
             failure_type=trial.failure_type,
             z_values=zs,
-            h_values=hs,
+            h_values=tuple(h_values(model, zs)),
             stratum=trial.stratum,
         )
 

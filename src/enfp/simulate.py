@@ -740,8 +740,7 @@ def _tau_hat_arrays(rho: float, draw: PopulationDraw) -> float:
 
 
 def _omega_hat_arrays(
-    model, draw: PopulationDraw, endpoint_mode: str = "designated",
-    block: int = 20000,
+    model, draw: PopulationDraw, endpoint_mode: str = "designated"
 ) -> float:
     """Bayesian bound over positive trials, vectorized mirror of
     bayes_bounds.omega_hat (designated = endpoint 1, tightest = max z)."""
@@ -753,13 +752,8 @@ def _omega_hat_arrays(
     z = draw.z[pos]
     valid = draw.valid[pos]
     rows, cols = np.nonzero(valid)
-    flat_z = z[rows, cols]
-    flat_h = np.empty_like(flat_z)
-    for start in range(0, flat_z.size, block):
-        stop = min(start + block, flat_z.size)
-        flat_h[start:stop] = h_values(model, flat_z[start:stop])
     h = np.full(z.shape, np.nan)
-    h[rows, cols] = flat_h
+    h[rows, cols] = h_values(model, z[rows, cols])
     loss = np.where(valid, 1.0 - h, 0.0)
     is_a = draw.is_type_a[pos]
     if endpoint_mode == "designated":

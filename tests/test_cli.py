@@ -1001,3 +1001,15 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 1
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, enfp.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

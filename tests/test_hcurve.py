@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
-from enfp.deconv import PriorModel
+from enfp.deconv import FitConfig, PriorModel, fit_g_path
 from enfp.hcurve import (
+    ZERO_TOLERANCE,
     HCurve,
     HRangeError,
     h_curve,
@@ -14,6 +16,7 @@ from enfp.hcurve import (
     render_svg,
     z_for_h,
 )
+from enfp.records_io import extract_observations, synthesize_corpus
 
 
 def two_point(w_neg=0.5, theta_neg=-1.0, theta_pos=1.0):
@@ -28,6 +31,31 @@ def closed_form_h(z, w_neg, theta_neg, theta_pos):
     num = (1.0 - w_neg) * phi(z - theta_pos)
     den = num + w_neg * phi(z - theta_neg)
     return num / den
+
+
+@pytest.fixture(scope="module")
+def readme_model():
+    """The README fit of the README corpus: 321 grid points."""
+    obs = extract_observations(synthesize_corpus(seed=7))
+    cfg = FitConfig(grid_low=-6.0, grid_high=10.0, basis_df=20,
+                    penalty_c0=0.01, max_iterations=1500)
+    return fit_g_path(obs, cfg, penalty_path=(1.0, 0.25, 0.05))
+
+
+def logsumexp_h(model, z):
+    """h by the two-logsumexp formula: exp(log num - log den).
+
+    Evaluated in long double: at |z| ~ 50 both logs are ~1e3, and their
+    double rounding alone would put ~1e-13 of error into h.
+    """
+    ld = np.longdouble
+    theta = np.asarray(model.theta_grid)
+    g = np.asarray(model.masses, dtype=ld)
+    pos = theta > ZERO_TOLERANCE
+    log_kernel = -0.5 * (np.asarray(z, dtype=ld)[:, None] - theta) ** 2
+    log_den = logsumexp(log_kernel, axis=1, b=g)
+    log_num = logsumexp(log_kernel[:, pos], axis=1, b=g[pos])
+    return np.exp(np.minimum(log_num - log_den, 0.0)).astype(float)
 
 
 class TestHProbability:
@@ -105,6 +133,76 @@ class TestHProbability:
             model = PriorModel.from_masses(grid, masses / masses.sum())
             h = h_values(model, zs)
             assert np.min(np.diff(h)) > -1e-9
+
+
+    def test_nan_z_rejected_with_count(self):
+        model = two_point()
+        with pytest.raises(ValueError, match="2 of 3 z values are NaN"):
+            h_values(model, [np.nan, 1.0, np.nan])
+        with pytest.raises(ValueError, match="NaN"):
+            h_probability(model, float("nan"))
+
+    def test_infinite_z_saturates_in_a_batch(self):
+        h = h_values(two_point(), [-np.inf, 0.0, np.inf])
+        assert h[0] == 0.0 and h[2] == 1.0
+        assert_allclose(h[1], 0.5, atol=1e-12)
+        all_pos = PriorModel.from_masses([0.5, 1.5], [0.4, 0.6])
+        assert list(h_values(all_pos, [-np.inf, np.inf])) == [1.0, 1.0]
+        null = PriorModel.from_masses([0.0], [1.0])
+        assert list(h_values(null, [-np.inf, np.inf])) == [0.0, 0.0]
+
+    def test_shape_follows_z(self):
+        model = two_point()
+        assert h_values(model, 1.0).shape == ()
+        assert h_values(model, np.zeros((3, 4))).shape == (3, 4)
+        assert h_values(model, []).shape == (0,)
+
+
+class TestBatchInvariance:
+    """h of a z does not depend on the other z evaluated with it."""
+
+    @pytest.mark.parametrize("which", ["readme", "two_point"])
+    def test_batch_equals_scalar_calls(self, which, request):
+        if which == "readme":
+            model = request.getfixturevalue("readme_model")
+        else:
+            model = two_point(0.3, -2.0, 1.0)
+        zs = np.random.default_rng(41).uniform(-8.0, 12.0, 500)
+        batch = h_values(model, zs)
+        scalar = np.array([h_probability(model, float(v)) for v in zs])
+        assert np.array_equal(batch, scalar)
+
+    def test_independent_of_block_boundaries(self, readme_model):
+        zs = np.random.default_rng(43).uniform(-8.0, 12.0, 500)
+        tiled = h_values(readme_model, np.tile(zs, 19))
+        assert np.array_equal(tiled, np.tile(h_values(readme_model, zs), 19))
+
+
+class TestLogsumexpReference:
+    """The max-shifted kernel against the two-logsumexp formula."""
+
+    ZS = np.linspace(-40.0, 60.0, 1001)
+
+    def test_dense_priors_with_masses_over_30_decades(self):
+        rng = np.random.default_rng(47)
+        grid = np.linspace(-6.0, 10.0, 321)
+        for _ in range(20):
+            masses = 10.0 ** rng.uniform(-30.0, 0.0, grid.size)
+            model = PriorModel.from_masses(grid, masses)
+            assert_allclose(
+                h_values(model, self.ZS), logsumexp_h(model, self.ZS),
+                rtol=0.0, atol=1e-13,
+            )
+
+    def test_prior_with_zero_mass_points(self, readme_model):
+        masses = np.array(readme_model.masses)
+        masses[::3] = 0.0
+        masses[150:170] = 0.0
+        model = PriorModel.from_masses(readme_model.theta_grid, masses)
+        assert_allclose(
+            h_values(model, self.ZS), logsumexp_h(model, self.ZS),
+            rtol=0.0, atol=1e-13,
+        )
 
 
 class TestZForH:
