@@ -57,13 +57,19 @@ class PositiveTrialResult:
             )
 
 
-def positive_result(trial: TrialRecord, model) -> PositiveTrialResult:
+def positive_result(
+    trial: TrialRecord, model, *, require_positive: bool = True
+) -> PositiveTrialResult:
     """Freeze a positive trial's (z, h) values against the given model.
 
+    ``require_positive=False`` freezes any trial with exact z values, as
+    a post-hoc adjustment needs.
+
     Raises:
-        ValueError: if the trial is not classified positive.
+        ValueError: if ``require_positive`` and the trial is not
+            classified positive.
     """
-    if trial.outcome != "positive":
+    if require_positive and trial.outcome != "positive":
         raise ValueError(
             f"trial {trial.trial_id} is not classified positive"
         )

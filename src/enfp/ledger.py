@@ -14,6 +14,17 @@ pinning the format version, mode, budgets, and the estimated null rate
 the log through the same accumulation code used by live operations, so
 the reconstructed running sums are byte-identical to the originals; any
 entry whose stored spend fails to replay exactly marks the file corrupt.
+Non-finite numbers are refused: the file is strict JSON.
+
+Running sums are exact.  Every finite double is an integer multiple of
+2**-1074, so each stratum keeps its sums of deltas, alphas and
+contributions as one Python ``int`` scaled by 2**1074 and converts to a
+float only when read, by one correctly rounded int/int division.  That
+read equals ``math.fsum`` of the same values bit for bit (both are the
+correctly rounded exact sum), so files written when every operation
+re-summed its whole history with ``math.fsum`` replay unchanged.  Each
+operation, and each replayed entry, costs the same whatever the
+history's length, so replay is linear in the number of entries.
 
 Single-writer model: mutations must be serialized through one
 :class:`Ledger` instance.  ``status`` is a pure read.  Multi-process
@@ -30,7 +41,6 @@ from dataclasses import dataclass, field
 
 from enfp.bayes_bounds import PositiveTrialResult, positive_result, trial_contribution
 from enfp.freq_bounds import delta
-from enfp.hcurve import h_values
 from enfp.trials import CannotClassifyError, FailureRegionType, TrialRecord
 
 __all__ = [
@@ -40,10 +50,30 @@ __all__ = [
     "LedgerError",
     "OutcomeRecord",
     "ProposeDecision",
+    "ReplayStats",
     "StratumSpec",
 ]
 
 LEDGER_FORMAT = "enfp-ledger/1"
+
+# Running sums are held as exact integers in units of 2**-1074, the
+# smallest subnormal double, of which every finite double is a multiple.
+_SUM_EXP = 1074
+_SUM_UNIT = 1 << _SUM_EXP
+
+
+def _exact(x: float) -> int:
+    """x as an exact integer multiple of 2**-1074.
+
+    Raises ValueError for NaN and OverflowError for an infinity.
+    """
+    n, d = x.as_integer_ratio()  # d = 2**k with k <= 1074
+    return n << (_SUM_EXP + 1 - d.bit_length())
+
+
+def _read(total: int) -> float:
+    """The correctly rounded float of an exact sum, equal to math.fsum."""
+    return total / _SUM_UNIT
 
 
 class LedgerError(ValueError):
@@ -62,8 +92,8 @@ class StratumSpec:
     rho_hat: float | None = None
 
     def __post_init__(self):
-        if not self.budget > 0:
-            raise LedgerError("budget must be positive")
+        if not (math.isfinite(self.budget) and self.budget > 0):
+            raise LedgerError("budget must be positive and finite")
         if self.rho_hat is not None and not 0.0 <= self.rho_hat <= 1.0:
             raise LedgerError("rho_hat must lie in [0, 1]")
 
@@ -99,27 +129,56 @@ class OutcomeRecord:
         return self.spent > self.budget
 
 
+@dataclass(frozen=True)
+class ReplayStats:
+    """What :meth:`Ledger.open` replayed and how long it took."""
+
+    entries: int
+    file_bytes: int
+    seconds: float
+
+
 @dataclass
 class _StratumState:
     budget: float
     rho_hat: float | None
-    deltas: list = field(default_factory=list)
-    alphas: list = field(default_factory=list)
+    # Exact sums in units of 2**-1074 (see _exact): deltas and alphas of
+    # the accepted proposals, and the spending contributions.
+    sum_delta: int = 0
+    sum_alpha: int = 0
+    sum_contribution: int = 0
     contributions: list = field(default_factory=list)
     n_accepted: int = 0
     n_outcomes: int = 0
     n_positive: int = 0
     n_adjustments: int = 0
 
-    def freq_spent(self) -> float:
-        if self.n_accepted == 0:
+    def projected(
+        self, d: float | None = None, alpha: float | None = None
+    ) -> float:
+        """Frequentist spend (sum delta)(sum alpha)/n over the accepted
+        designs, plus the design (d, alpha) when given; 0 with none."""
+        n, sum_delta, sum_alpha = self.n_accepted, self.sum_delta, self.sum_alpha
+        if d is not None:
+            n += 1
+            sum_delta += _exact(d)
+            sum_alpha += _exact(alpha)
+        if n == 0:
             return 0.0
-        return (
-            math.fsum(self.deltas) * math.fsum(self.alphas) / self.n_accepted
-        )
+        return _read(sum_delta) * _read(sum_alpha) / n
 
-    def bayes_spent(self) -> float:
-        return math.fsum(self.contributions)
+    def accept(self, d: float, alpha: float) -> None:
+        self.sum_delta += _exact(d)
+        self.sum_alpha += _exact(alpha)
+        self.n_accepted += 1
+
+    def bayes_spent(self, contribution: float = 0.0) -> float:
+        """Bayesian spend over the recorded contributions plus this one."""
+        return _read(self.sum_contribution + _exact(contribution))
+
+    def spend(self, contribution: float) -> None:
+        self.sum_contribution += _exact(contribution)
+        self.contributions.append(contribution)
 
 
 class Ledger:
@@ -135,25 +194,25 @@ class Ledger:
         self._mode = header["mode"]
         self._endpoint_mode = header.get("endpoint_mode", "designated")
         self._model_id = header.get("model_id")
-        self._strata: dict = {}
         strata = header.get("strata")
-        if strata is None:
-            self._stratified = False
-            self._strata[None] = _StratumState(
-                budget=float(header["budget"]),
-                rho_hat=header.get("rho_hat"),
+        self._stratified = strata is not None
+        self._strata: dict = {}
+        for name, spec in (
+            strata.items() if self._stratified else [(None, header)]
+        ):
+            checked = StratumSpec(
+                budget=float(spec["budget"]), rho_hat=spec.get("rho_hat")
             )
-        else:
-            self._stratified = True
-            for name, spec in strata.items():
-                self._strata[name] = _StratumState(
-                    budget=float(spec["budget"]),
-                    rho_hat=spec.get("rho_hat"),
-                )
+            if self._mode == "frequentist" and checked.rho_hat is None:
+                raise LedgerError("frequentist mode requires rho_hat")
+            self._strata[name] = _StratumState(
+                budget=checked.budget, rho_hat=checked.rho_hat
+            )
         self._entries: list = []
         self._next_sequence = 1
         self._n_entries = 0
         self._n_adjustments = 0
+        self._replay_stats = None
         self._fh = None
 
     # ------------------------------------------------------------------
@@ -210,33 +269,38 @@ class Ledger:
                 header_strata[str(name)] = one
             header["strata"] = header_strata
         else:
-            if budget is None or not budget > 0:
-                raise LedgerError("budget must be positive")
+            if budget is None:
+                raise LedgerError("budget must be positive and finite")
             header["budget"] = float(budget)
             if mode == "frequentist":
                 if rho_hat is None:
                     raise LedgerError("frequentist mode requires rho_hat")
-                if not 0.0 <= rho_hat <= 1.0:
-                    raise LedgerError("rho_hat must lie in [0, 1]")
                 header["rho_hat"] = float(rho_hat)
         if mode == "bayes":
             if model is None:
                 raise LedgerError("bayes mode requires the prior model")
             header["model_id"] = model.model_id
+        ledger = cls(path, header)
+        line = cls._encode_line(header)
         if os.path.exists(path):
             raise LedgerError(
                 f"refusing to overwrite existing ledger file {path!s}"
             )
-        ledger = cls(path, header)
         ledger._fh = open(path, "a", encoding="utf-8")
-        ledger._write_line(header)
+        ledger._write_line(line)
         return ledger
 
     @classmethod
     def open(cls, path) -> "Ledger":
-        """Replay an existing ledger file, validating every entry."""
+        """Replay an existing ledger file, validating every entry.
+
+        The header's budgets and null rates are checked as :meth:`create`
+        checks them.  :attr:`replay_stats` reports the replay.
+        """
+        started = time.perf_counter()
         try:
             with open(path, encoding="utf-8") as fh:
+                file_bytes = os.fstat(fh.fileno()).st_size
                 lines = fh.read().splitlines()
         except OSError as exc:
             raise LedgerError(f"cannot read ledger file: {exc}") from exc
@@ -249,10 +313,18 @@ class Ledger:
             )
         if "budget" not in header and "strata" not in header:
             raise LedgerCorruptError("header pins no budget")
-        ledger = cls(path, header)
+        try:
+            ledger = cls(path, header)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise LedgerCorruptError(f"line 1: invalid header ({exc})") from exc
         for lineno, raw in enumerate(lines[1:], start=2):
             ledger._apply_entry(cls._parse_line(raw, lineno), lineno=lineno)
         ledger._fh = open(path, "a", encoding="utf-8")
+        ledger._replay_stats = ReplayStats(
+            entries=ledger._n_entries,
+            file_bytes=file_bytes,
+            seconds=time.perf_counter() - started,
+        )
         return ledger
 
     # ------------------------------------------------------------------
@@ -282,16 +354,12 @@ class Ledger:
             raise LedgerError("alpha must lie in (0, 1)")
         state = self._resolve_stratum(stratum)
         d = delta(state.rho_hat, m, t)
-        projected = (
-            math.fsum(state.deltas + [d])
-            * math.fsum(state.alphas + [alpha])
-            / (state.n_accepted + 1)
-        )
+        projected = state.projected(d, alpha)
         if projected > state.budget:
             return ProposeDecision(
                 accepted=False,
                 projected=projected,
-                spent=state.freq_spent(),
+                spent=state.projected(),
                 budget=state.budget,
             )
         entry = {
@@ -304,8 +372,7 @@ class Ledger:
             "timestamp": time.time(),
             "note": None,
         }
-        self._apply_entry(entry)
-        self._write_line(entry)
+        self._commit(entry)
         return ProposeDecision(
             accepted=True,
             projected=projected,
@@ -343,7 +410,7 @@ class Ledger:
             payload["z"] = None
         spend_delta = 0.0
         spent_after = (
-            state.freq_spent()
+            state.projected()
             if self._mode == "frequentist"
             else state.bayes_spent()
         )
@@ -352,7 +419,7 @@ class Ledger:
             payload["z"] = list(result.z_values)
             payload["h"] = list(result.h_values)
             spend_delta = trial_contribution(result, self._endpoint_mode)
-            spent_after = math.fsum(state.contributions + [spend_delta])
+            spent_after = state.bayes_spent(spend_delta)
         entry = {
             "sequence": self._next_sequence,
             "kind": "outcome",
@@ -364,8 +431,7 @@ class Ledger:
             "timestamp": time.time(),
             "note": None,
         }
-        self._apply_entry(entry)
-        self._write_line(entry)
+        self._commit(entry)
         return OutcomeRecord(
             sequence=entry["sequence"],
             kind="outcome",
@@ -392,7 +458,7 @@ class Ledger:
         state = self._resolve_stratum(trial.stratum)
         result = self._freeze(trial, model, require_positive=False)
         spend_delta = trial_contribution(result, self._endpoint_mode)
-        spent_after = math.fsum(state.contributions + [spend_delta])
+        spent_after = state.bayes_spent(spend_delta)
         entry = {
             "sequence": self._next_sequence,
             "kind": "adjustment",
@@ -410,8 +476,7 @@ class Ledger:
             "timestamp": time.time(),
             "note": note,
         }
-        self._apply_entry(entry)
-        self._write_line(entry)
+        self._commit(entry)
         return OutcomeRecord(
             sequence=entry["sequence"],
             kind="adjustment",
@@ -482,6 +547,12 @@ class Ledger:
     def header(self) -> dict:
         return dict(self._header)
 
+    @property
+    def replay_stats(self) -> ReplayStats | None:
+        """Entry count, file size and time of the replay that opened this
+        ledger; None for a ledger made by :meth:`create`."""
+        return self._replay_stats
+
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
@@ -501,9 +572,9 @@ class Ledger:
         if self._mode == "frequentist":
             return {
                 "n": state.n_accepted,
-                "sum_delta": math.fsum(state.deltas),
-                "sum_alpha": math.fsum(state.alphas),
-                "spent": state.freq_spent(),
+                "sum_delta": _read(state.sum_delta),
+                "sum_alpha": _read(state.sum_alpha),
+                "spent": state.projected(),
             }
         return {
             "n_outcomes": state.n_outcomes,
@@ -515,7 +586,7 @@ class Ledger:
 
     def _stratum_view(self, state: _StratumState) -> dict:
         if self._mode == "frequentist":
-            spent = state.freq_spent()
+            spent = state.projected()
             n_trials = state.n_accepted
         else:
             spent = state.bayes_spent()
@@ -536,12 +607,12 @@ class Ledger:
             # (m=1, type B) trials this is budget/rho_hat - sum(alpha).
             if state.n_accepted:
                 capacity_alpha = (
-                    state.budget * state.n_accepted / math.fsum(state.deltas)
+                    state.budget * state.n_accepted / _read(state.sum_delta)
                 )
             else:
                 capacity_alpha = state.budget / state.rho_hat
-            view["remaining_total_error"] = capacity_alpha - math.fsum(
-                state.alphas
+            view["remaining_total_error"] = capacity_alpha - _read(
+                state.sum_alpha
             )
         return view
 
@@ -557,18 +628,10 @@ class Ledger:
                 f"model {model.model_id} does not match the pinned model "
                 f"{self._model_id}"
             )
-        if require_positive:
-            return positive_result(trial, model)
         # Adjustments may rescue trials that missed their pre-registered
-        # threshold, so the positive-outcome gate does not apply.
-        zs = trial.z_values()
-        return PositiveTrialResult(
-            trial_id=trial.trial_id,
-            m=trial.m,
-            failure_type=trial.failure_type,
-            z_values=zs,
-            h_values=tuple(h_values(model, zs)),
-            stratum=trial.stratum,
+        # threshold, so they skip the positive-outcome gate.
+        return positive_result(
+            trial, model, require_positive=require_positive
         )
 
     def _resolve_stratum(self, stratum) -> _StratumState:
@@ -618,7 +681,7 @@ class Ledger:
                 )
         except LedgerCorruptError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise LedgerCorruptError(f"{where}: malformed entry ({exc})") from exc
         self._entries.append(entry)
         self._n_entries += 1
@@ -633,11 +696,7 @@ class Ledger:
             state.rho_hat, int(payload["m"]), FailureRegionType(payload["t"])
         )
         alpha = float(payload["alpha"])
-        projected = (
-            math.fsum(state.deltas + [d])
-            * math.fsum(state.alphas + [alpha])
-            / (state.n_accepted + 1)
-        )
+        projected = state.projected(d, alpha)
         if projected != entry.get("projected"):
             raise LedgerCorruptError(
                 f"{where}: stored projected spend {entry.get('projected')!r} "
@@ -647,9 +706,7 @@ class Ledger:
             raise LedgerCorruptError(
                 f"{where}: accepted proposal exceeds the budget"
             )
-        state.deltas.append(d)
-        state.alphas.append(alpha)
-        state.n_accepted += 1
+        state.accept(d, alpha)
 
     def _apply_spendable(self, entry, payload, state, kind, where) -> None:
         spend_delta = entry.get("spend_delta")
@@ -681,12 +738,11 @@ class Ledger:
                     f"{where}: stored spend delta {spend_delta!r} does not "
                     f"replay ({recomputed!r})"
                 )
-            spent_after = math.fsum(state.contributions + [recomputed])
-            if spent_after != entry.get("spent_after"):
+            if state.bayes_spent(recomputed) != entry.get("spent_after"):
                 raise LedgerCorruptError(
                     f"{where}: stored cumulative spend does not replay"
                 )
-            state.contributions.append(recomputed)
+            state.spend(recomputed)
         elif spend_delta != 0.0:
             raise LedgerCorruptError(
                 f"{where}: non-spending entry carries spend "
@@ -700,16 +756,34 @@ class Ledger:
             state.n_adjustments += 1
             self._n_adjustments += 1
 
-    def _write_line(self, obj: dict) -> None:
-        self._fh.write(
-            json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
-        )
+    def _commit(self, entry: dict) -> None:
+        """Apply a live entry, then append it durably.  An entry that
+        cannot be encoded is refused before either."""
+        line = self._encode_line(entry)
+        self._apply_entry(entry)
+        self._write_line(line)
+
+    def _write_line(self, line: str) -> None:
+        self._fh.write(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
     def _require_open(self) -> None:
         if self._fh is None:
             raise LedgerError("ledger is closed")
+
+    @staticmethod
+    def _encode_line(obj: dict) -> str:
+        """One strict-JSON line; NaN and infinities are refused."""
+        try:
+            line = json.dumps(
+                obj, separators=(",", ":"), sort_keys=True, allow_nan=False
+            )
+        except ValueError as exc:
+            raise LedgerError(
+                f"cannot record a non-finite value ({exc})"
+            ) from exc
+        return line + "\n"
 
     @staticmethod
     def _parse_line(raw: str, lineno: int) -> dict:
@@ -722,3 +796,4 @@ class Ledger:
         if not isinstance(obj, dict):
             raise LedgerCorruptError(f"line {lineno}: expected a JSON object")
         return obj
+

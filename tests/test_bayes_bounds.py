@@ -163,6 +163,11 @@ class TestFrozenHValues:
         )
         with pytest.raises(ValueError):
             positive_result(trial, model)
+        # Adjustments freeze any trial: the gate is the only difference.
+        res = positive_result(trial, model, require_positive=False)
+        from enfp.hcurve import h_probability
+
+        assert res.h_values == (h_probability(model, 2.5),)
 
     def test_recompute_result_is_an_audit_copy(self):
         model_a = _two_point_model(mass_neg=0.5)

@@ -2,9 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from enfp.bayes_bounds import omega_hat, positive_result
@@ -15,6 +18,7 @@ from enfp.ledger import (
     LedgerCorruptError,
     LedgerError,
     StratumSpec,
+    _StratumState,
 )
 from enfp.trials import (
     EfficacyMeasure,
@@ -512,3 +516,181 @@ class TestStrata:
             live = led.running_sums()
         with Ledger.open(path) as replayed:
             assert replayed.running_sums() == live
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def _as_json(value):
+    """Tuples become lists; floats survive exactly (repr round-trips)."""
+    return json.loads(json.dumps(value))
+
+
+class TestGoldenReplay:
+    """Files written by the earlier fsum-per-operation ledger (see
+    ``data/make_golden_ledgers.py``) replay to their recorded state."""
+
+    @pytest.mark.parametrize("name", ["golden_freq", "golden_bayes"])
+    def test_replays_to_recorded_state(self, name):
+        expected = json.loads(
+            (GOLDEN / f"{name}.expected.json").read_text(encoding="utf-8")
+        )
+        with Ledger.open(GOLDEN / f"{name}.jsonl") as led:
+            assert _as_json(led.status()) == expected["status"]
+            assert _as_json(led.running_sums()) == expected["running_sums"]
+
+
+# Positive floats from subnormals to 1e3, with values that repeat.
+POSITIVE = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e3),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.sampled_from([5e-324, 1e-300, 1e-17, 0.025, 0.1, 1.0, 1e3]),
+)
+
+
+class TestExactRunningSums:
+    """The running sums read back as math.fsum of the same history."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(POSITIVE, min_size=1, max_size=60))
+    def test_contribution_sum_equals_fsum_at_every_prefix(self, values):
+        state = _StratumState(budget=1.0, rho_hat=None)
+        for i, x in enumerate(values):
+            assert state.bayes_spent(x) == math.fsum(values[: i + 1])
+            state.spend(x)
+            assert state.bayes_spent() == math.fsum(values[: i + 1])
+        assert state.contributions == values
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(POSITIVE, POSITIVE), min_size=1, max_size=60))
+    def test_projected_equals_fsum_formula(self, designs):
+        state = _StratumState(budget=1.0, rho_hat=0.1)
+        deltas, alphas = [], []
+        for d, a in designs:
+            assert state.projected(d, a) == (
+                math.fsum(deltas + [d])
+                * math.fsum(alphas + [a])
+                / (len(deltas) + 1)
+            )
+            state.accept(d, a)
+            deltas.append(d)
+            alphas.append(a)
+            assert state.projected() == (
+                math.fsum(deltas) * math.fsum(alphas) / len(deltas)
+            )
+
+
+def _rewrite_line(path, index, edit):
+    """Apply ``edit`` to the JSON object on line ``index`` (0 = header);
+    non-finite values are written as the NaN/Infinity tokens."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[index])
+    edit(obj)
+    lines[index] = json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_create_refuses_non_finite_budget(self, tmp_path, bad):
+        path = tmp_path / "l.jsonl"
+        with pytest.raises(LedgerError):
+            StratumSpec(budget=bad)
+        with pytest.raises(LedgerError):
+            Ledger.create(path, "frequentist", budget=bad, rho_hat=0.1)
+        with pytest.raises(LedgerError):
+            Ledger.create(path, "bayes", budget=bad, model=small_model())
+        with pytest.raises(LedgerError):
+            Ledger.create(
+                path, "frequentist", strata={"us": {"budget": bad, "rho_hat": 0.1}}
+            )
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("budget", math.nan),
+            ("budget", math.inf),
+            ("budget", -1.0),
+            ("rho_hat", math.nan),
+            ("rho_hat", 1.5),
+            ("rho_hat", None),
+        ],
+    )
+    def test_open_validates_header(self, tmp_path, key, value):
+        path = tmp_path / "l.jsonl"
+        Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09).close()
+        _rewrite_line(path, 0, lambda header: header.update({key: value}))
+        with pytest.raises(LedgerCorruptError):
+            Ledger.open(path)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_stored_alpha_is_corrupt(self, tmp_path, value):
+        path = tmp_path / "l.jsonl"
+        with Ledger.create(
+            path, "frequentist", budget=1.0, rho_hat=0.09
+        ) as led:
+            for i in range(3):
+                led.propose(f"t{i}", 1, B, 0.025)
+
+        def edit(entry):
+            entry["payload"]["alpha"] = value
+            entry["projected"] = value
+
+        _rewrite_line(path, 2, edit)
+        with pytest.raises(LedgerCorruptError):
+            Ledger.open(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("spend_delta", math.inf), ("spent_after", math.nan), ("h", [math.nan])],
+    )
+    def test_non_finite_stored_spend_is_corrupt(self, tmp_path, key, value):
+        path = tmp_path / "b.jsonl"
+        model = small_model()
+        with Ledger.create(path, "bayes", budget=1.0, model=model) as led:
+            led.record_outcome(make_trial("p1", [2.5]), model)
+            led.record_outcome(make_trial("p2", [2.8]), model)
+
+        def edit(entry):
+            (entry["payload"] if key == "h" else entry)[key] = value
+
+        _rewrite_line(path, 2, edit)
+        with pytest.raises(LedgerCorruptError):
+            Ledger.open(path)
+
+    def test_non_finite_z_refused_before_any_change(self, tmp_path):
+        path = tmp_path / "b.jsonl"
+        model = small_model()
+        with Ledger.create(path, "bayes", budget=1.0, model=model) as led:
+            led.record_outcome(make_trial("p1", [2.5]), model)
+            before = (path.read_bytes(), led.status(), led.running_sums())
+            with pytest.raises(LedgerError, match="non-finite"):
+                led.record_outcome(
+                    make_trial("n1", [math.inf], outcome="negative"), model
+                )
+            assert (path.read_bytes(), led.status(), led.running_sums()) == before
+            assert led.record_outcome(make_trial("p2", [2.8]), model).sequence == 2
+        with Ledger.open(path) as replayed:
+            assert replayed.status()["n_trials"] == 2
+
+
+class TestReplayStats:
+    def test_open_reports_entries_bytes_and_time(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        with Ledger.create(
+            path, "frequentist", budget=1.0, rho_hat=0.09
+        ) as led:
+            for i in range(4):
+                led.propose(f"t{i}", 1, B, 0.025)
+            assert led.replay_stats is None
+            live = led.status()
+        with Ledger.open(path) as reopened:
+            stats = reopened.replay_stats
+            assert stats.entries == 4
+            assert stats.file_bytes == path.stat().st_size
+            assert stats.seconds >= 0.0
+            # Timings stay out of status(), which must equal the live one.
+            assert reopened.status() == live
+            with pytest.raises(AttributeError):
+                reopened.replay_stats = None
