@@ -94,7 +94,10 @@ def tau_hat_single(rho_hat: float, alphas: Sequence[float]) -> float:
     """
     if not 0.0 <= rho_hat <= 1.0:
         raise ValueError("rho_hat must lie in [0, 1]")
-    return rho_hat * math.fsum(float(a) for a in alphas)
+    alphas = [float(a) for a in alphas]
+    if not all(math.isfinite(a) for a in alphas):
+        raise ValueError("alphas must be finite")
+    return rho_hat * math.fsum(alphas)
 
 
 def tau_hat_mixed(bound_input: FreqBoundInput) -> float:

@@ -203,8 +203,12 @@ class Ledger:
             checked = StratumSpec(
                 budget=float(spec["budget"]), rho_hat=spec.get("rho_hat")
             )
-            if self._mode == "frequentist" and checked.rho_hat is None:
-                raise LedgerError("frequentist mode requires rho_hat")
+            if self._mode == "frequentist" and (
+                checked.rho_hat is None or checked.rho_hat == 0.0
+            ):
+                # With rho_hat = 0 every delta is 0: tau stays 0 whatever
+                # is spent, and the remaining capacity divides by zero.
+                raise LedgerError("frequentist mode requires rho_hat > 0")
             self._strata[name] = _StratumState(
                 budget=checked.budget, rho_hat=checked.rho_hat
             )

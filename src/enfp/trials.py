@@ -86,7 +86,10 @@ class EfficacyMeasure:
                 raise ValueError("censor_interval must satisfy low < high")
             object.__setattr__(self, "censor_interval", (float(low), float(high)))
         if self.z is not None:
-            object.__setattr__(self, "z", float(self.z))
+            z = float(self.z)
+            if math.isnan(z):
+                raise ValueError("z must not be NaN")
+            object.__setattr__(self, "z", z)
 
     @property
     def censored(self) -> bool:

@@ -515,6 +515,18 @@ class TestLedgerCli:
         assert path.exists()
         assert "remaining total error 11.1111" in out
 
+    def test_init_refuses_zero_rho_frequentist(self, capsys, tmp_path):
+        path = tmp_path / "r0.jsonl"
+        code, out, err = run(
+            capsys, "ledger", "init", str(path), "--mode", "freq",
+            "--budget", "1.0", "--rho", "0",
+        )
+        assert code == cli.EXIT_DATA
+        assert out == ""
+        assert "rho_hat > 0" in err
+        assert "Traceback" not in err
+        assert not path.exists()
+
     def test_init_refuses_overwrite(self, capsys, tmp_path):
         path = tmp_path / "led.jsonl"
         args = (

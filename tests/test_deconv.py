@@ -1,7 +1,10 @@
 """Tests for g-modeling deconvolution: basis, likelihood, fit, bootstrap."""
 
 import dataclasses
+import importlib.util
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from scipy.stats import norm as scipy_norm
 
 from enfp.deconv import (
     FitConfig,
+    _fit_alpha,
     ObservationSet,
     PriorModel,
     bootstrap,
@@ -338,3 +342,161 @@ class TestBootstrap:
             if lo <= true_rho <= hi:
                 covered += 1
         assert covered >= int(np.ceil(0.9 * outer))
+
+
+class TestObservationSetInputs:
+    def test_nan_exact_z_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ObservationSet(exact_z=(1.0, math.nan, 2.0))
+
+    @pytest.mark.parametrize(
+        "interval", [(math.nan, 1.0), (-1.0, math.nan), (math.nan, math.nan)]
+    )
+    def test_nan_interval_end_rejected(self, interval):
+        with pytest.raises(ValueError):
+            ObservationSet(censored=(interval,))
+
+    def test_one_sided_infinite_intervals_kept(self):
+        obs = ObservationSet(
+            censored=((-math.inf, 1.96), (1.96, math.inf))
+        )
+        assert obs.censored == ((-math.inf, 1.96), (1.96, math.inf))
+        p = likelihood_matrix(obs, np.array([-1.0, 0.0, 2.0]))
+        assert np.all(np.isfinite(p))
+
+
+# The golden file's cases and their inputs live in the script that wrote
+# it, so the test reruns exactly what was recorded.
+_spec = importlib.util.spec_from_file_location(
+    "make_golden_bootstrap",
+    Path(__file__).parent / "data" / "make_golden_bootstrap.py",
+)
+golden_bootstrap = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_bootstrap)
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_bootstrap.json").read_text()
+)
+
+
+def _three_kinds(seed, n=120):
+    """Exact-only, censored-only and mixed sets with repeats and
+    one-sided intervals."""
+    rng = np.random.default_rng(seed)
+    exact = tuple(np.round(rng.normal(1.0, 2.0, n), 1))
+    bands = [(-1.96, 1.96), (-math.inf, -1.0), (2.5, math.inf), (0.5, 1.5)]
+    censored = tuple(bands[i] for i in rng.integers(0, len(bands), n))
+    return {
+        "exact": ObservationSet(exact_z=exact),
+        "censored": ObservationSet(censored=censored),
+        "mixed": ObservationSet(exact_z=exact[: n // 2], censored=censored),
+    }
+
+
+class TestBitIdentity:
+    """The fit reuses one likelihood matrix per observation set and grid
+    and gathers bootstrap rows from it; every iterate must stay what a
+    fresh build per fit and per replicate gave."""
+
+    @pytest.mark.parametrize(
+        "case",
+        golden_bootstrap.CASES,
+        ids=[golden_bootstrap.case_name(*c) for c in golden_bootstrap.CASES],
+    )
+    def test_fit_and_bootstrap_equal_golden(self, case):
+        expected = GOLDEN[golden_bootstrap.case_name(*case)]
+        assert golden_bootstrap.run_case(*case) == expected
+        assert expected["bootstrap"]["n_failed"] >= 1
+
+    @pytest.mark.parametrize("kind", ["exact", "censored", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_gathered_rows_equal_resample_matrix(self, kind, seed):
+        obs = _three_kinds(seed)[kind]
+        theta = RECOVERY_CFG.theta_grid()
+        p_full = obs._likelihood(theta)
+        rows = obs._resample_rows(np.random.default_rng([seed, 9]))
+        resampled = obs.resample(np.random.default_rng([seed, 9]))
+        built = likelihood_matrix(resampled, theta)
+        gathered = p_full[rows]
+        assert gathered.shape == built.shape
+        assert gathered.tobytes() == built.tobytes()
+
+    def test_resample_rows_put_exact_draws_first(self):
+        obs = _three_kinds(5)["mixed"]
+        rows = obs._resample_rows(np.random.default_rng(3))
+        idx = np.random.default_rng(3).integers(0, obs.n_total, obs.n_total)
+        n_exact = len(obs.exact_z)
+        assert rows.tolist() == (
+            idx[idx < n_exact].tolist() + idx[idx >= n_exact].tolist()
+        )
+
+    def test_memoised_matrix_is_read_only_and_shared(self):
+        obs = _three_kinds(6)["mixed"]
+        cfg = dataclasses.replace(RECOVERY_CFG, min_observations=1)
+        theta = cfg.theta_grid()
+        p_matrix = obs._likelihood(theta)
+        assert not p_matrix.flags.writeable
+        with pytest.raises(ValueError):
+            p_matrix[0, 0] = 1.0
+        assert np.array_equal(p_matrix, likelihood_matrix(obs, theta))
+        assert obs._likelihood(theta.copy()) is p_matrix
+        model = fit_g(obs, cfg)
+        assert obs._likelihood(model.theta_grid) is p_matrix
+        assert log_likelihood(model, obs) == model.log_likelihood
+        other = np.linspace(-3.0, 3.0, 7)
+        assert obs._likelihood(other).shape == (obs.n_total, 7)
+        assert obs._likelihood(theta) is p_matrix
+
+    def test_memo_leaves_equality_and_hash_alone(self):
+        a = ObservationSet(exact_z=(0.5, 1.5), censored=((-1.0, 1.0),))
+        b = ObservationSet(exact_z=(0.5, 1.5), censored=((-1.0, 1.0),))
+        a._likelihood(np.array([0.0, 1.0]))
+        assert a == b and hash(a) == hash(b)
+        assert "_matrices" not in repr(a)
+
+
+class TestStopReason:
+    def test_converged_fit_stops_on_gradient_tolerance(self):
+        model = fit_g(mixture_obs(3, n=400), FitConfig())
+        assert model.converged
+        assert model.diagnostics["stop_reason"] == "gradient_tolerance"
+
+    def test_iteration_cap(self):
+        model = fit_g(mixture_obs(3, n=400), FitConfig(max_iterations=1))
+        assert not model.converged
+        assert model.diagnostics["stop_reason"] == "max_iterations"
+        assert model.diagnostics["iterations"] == 1
+
+    def test_stall_window(self):
+        # A zero tolerance is never met; Newton stalls at the noise floor.
+        model = fit_g(
+            mixture_obs(3, n=300),
+            FitConfig(gradient_tolerance=0.0, penalty_c0=0.01),
+        )
+        assert not model.converged
+        assert model.diagnostics["stop_reason"] == "stall_window"
+
+    def test_no_acceptable_step(self):
+        obs = mixture_obs(3, n=50)
+        theta = FitConfig().theta_grid()
+        basis = natural_spline_basis(theta, 6)
+        result = _fit_alpha(
+            obs._likelihood(theta), basis, FitConfig(),
+            alpha0=np.full(6, np.nan),
+        )
+        assert not result["converged"]
+        assert result["stop_reason"] == "no_acceptable_step"
+        assert result["iterations"] == 1
+
+    def test_failed_replicates_recorded(self):
+        case = golden_bootstrap.CASES[0]
+        obs, cfg = golden_bootstrap.case_inputs(*case)
+        res = bootstrap(obs, cfg, replicates=golden_bootstrap.REPLICATES)
+        assert len(res.failed_replicates) == res.n_failed >= 1
+        assert list(res.failed_replicates) == sorted(res.failed_replicates)
+        assert all(
+            0 <= i < res.replicates for i in res.failed_replicates
+        )
+        assert res.to_dict()["failed_replicates"] == list(
+            res.failed_replicates
+        )
+        json.dumps(res.to_dict())

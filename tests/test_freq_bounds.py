@@ -56,6 +56,11 @@ class TestTauHatSingle:
     def test_empty_is_vacuous(self):
         assert tau_hat_single(0.2, []) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tau_hat_single(0.1, [0.025, bad])
+
 
 class TestTauHatMixed:
     def test_hand_evaluation(self):

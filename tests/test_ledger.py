@@ -606,6 +606,21 @@ class TestNonFinite:
             )
         assert not path.exists()
 
+    def test_frequentist_zero_rho_refused_before_writing(self, tmp_path):
+        path = tmp_path / "r0.jsonl"
+        with pytest.raises(LedgerError, match="rho_hat > 0"):
+            Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.0)
+        with pytest.raises(LedgerError, match="rho_hat > 0"):
+            Ledger.create(
+                path,
+                "frequentist",
+                strata={
+                    "us": StratumSpec(budget=1.0, rho_hat=0.1),
+                    "eu": StratumSpec(budget=1.0, rho_hat=0.0),
+                },
+            )
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -615,6 +630,7 @@ class TestNonFinite:
             ("rho_hat", math.nan),
             ("rho_hat", 1.5),
             ("rho_hat", None),
+            ("rho_hat", 0.0),
         ],
     )
     def test_open_validates_header(self, tmp_path, key, value):

@@ -213,6 +213,17 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             EfficacyMeasure(endpoint_index=1, censor_interval=(1.0, -1.0))
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            EfficacyMeasure(endpoint_index=1, z=float("nan"))
+        with pytest.raises(ValueError):
+            EfficacyMeasure(
+                endpoint_index=1, censor_interval=(float("nan"), 1.0)
+            )
+        assert EfficacyMeasure(
+            endpoint_index=1, censor_interval=(1.96, float("inf"))
+        ).censor_interval == (1.96, float("inf"))
+
     def test_censored_at_p_symmetric_band(self):
         meas = EfficacyMeasure.censored_at_p(1, 0.05)
         low, high = meas.censor_interval
