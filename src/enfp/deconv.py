@@ -593,9 +593,19 @@ def fit_g(
         gradient norm, objective trace).
 
     Raises:
-        ValueError: on empty or undersized observation sets.
+        ValueError: on empty or undersized observation sets, or a
+            warm start that is not basis_df finite coefficients.
     """
     cfg = cfg or FitConfig()
+    if warm_start is not None:
+        warm_start = np.asarray(warm_start, dtype=float)
+        if warm_start.shape != (cfg.basis_df,):
+            raise ValueError(
+                f"warm_start must hold basis_df={cfg.basis_df} "
+                f"coefficients, got shape {warm_start.shape}"
+            )
+        if not np.all(np.isfinite(warm_start)):
+            raise ValueError("warm_start coefficients must be finite")
     if obs.n_total == 0:
         raise ValueError("cannot fit an empty observation set")
     if obs.n_total < cfg.min_observations:

@@ -27,9 +27,11 @@ import numpy as np
 # prior exactly.
 ZERO_TOLERANCE = 1e-12
 
-# Rows of z evaluated per pass of h_values; bounds the working set at
-# _BLOCK x (support size) doubles.
-_BLOCK = 4096
+# Working-set budget of h_values, in doubles: each pass evaluates
+# max(1, _BLOCK // support size) rows of z, so its (rows x support)
+# temporary stays near 2^16 doubles (512 KiB) and fits in a core's L2
+# cache whatever the grid size.
+_BLOCK = 1 << 16
 
 
 class HRangeError(ValueError):
@@ -158,8 +160,9 @@ def h_values(model, z) -> np.ndarray:
     finite = np.isfinite(flat)
     zf = flat[finite]
     hf = np.empty(zf.shape)
-    for start in range(0, zf.size, _BLOCK):
-        stop = start + _BLOCK
+    rows = max(1, _BLOCK // theta.size)
+    for start in range(0, zf.size, rows):
+        stop = start + rows
         lk = zf[start:stop, None] - theta
         lk *= lk
         lk *= -0.5

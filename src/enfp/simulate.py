@@ -16,13 +16,19 @@ replicates may run in parallel without changing results.
 The endpoint-correlation model is a shared-factor Gaussian: noise =
 sqrt(rc) * common + sqrt(1 - rc) * idiosyncratic, giving correlation rc
 between any two endpoints of the same trial.
+
+Concordance is streamed.  Each replicate is reduced to integer counts
+(per alpha value and null flag for the mean checks, per z bin and
+outcome class for the binned checks) before the next one is drawn, so
+pooling loses nothing and the checks' memory does not depend on
+``replicates``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -374,17 +380,18 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
     theta = np.where(valid, theta, np.nan)
     z = np.where(valid, z, np.nan)
 
-    alpha, signal = _policy_alphas(rng, cfg.policy, theta, n)
+    menu, menu_index, signal = _policy_alphas(rng, cfg.policy, theta, valid, m)
+    alpha = menu[menu_index]
 
-    critical = np.where(
-        is_type_a, norm_ppf(1.0 - alpha / m), norm_ppf(1.0 - alpha)
-    )
-    exceed = np.where(valid, z > critical[:, None], False)
-    n_exceed = exceed.sum(axis=1)
+    # One critical value per (design, menu entry): type A at alpha/m,
+    # type B at alpha.  Padded slots hold NaN, which compares False.
+    critical = norm_ppf(
+        np.where(a_flags[:, None], 1.0 - menu / ms[:, None], 1.0 - menu)
+    )[which, menu_index]
+    n_exceed = _row_counts(z > critical[:, None])
     positive = np.where(is_type_a, n_exceed > 0, n_exceed == m)
 
-    beneficial = np.where(valid, theta > 0.0, False)
-    n_beneficial = beneficial.sum(axis=1)
+    n_beneficial = _row_counts(theta > 0.0)
     # Failure region truth: A fails when all theta <= 0, B when any is.
     null_truth = np.where(is_type_a, n_beneficial == 0, n_beneficial < m)
 
@@ -403,23 +410,36 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
     )
 
 
-def _policy_alphas(rng, policy: PolicySpec, theta, n):
+def _row_counts(mask):
+    """True entries per row of a 2-d mask.  Integer sums do not depend
+    on order, so columns are added one by one, which is faster than a
+    reduction along short rows."""
+    counts = mask[:, 0].astype(np.int64)
+    for column in mask.T[1:]:
+        counts += column
+    return counts
+
+
+def _policy_alphas(rng, policy: PolicySpec, theta, valid, m):
+    """The sorted menu, each trial's index into it, and the signal (None
+    for ``fixed_alpha``)."""
     menu = np.sort(np.asarray(policy.alpha_menu))
     k = menu.size
+    n = m.size
     if policy.kind == "fixed_alpha":
         if k == 1:
-            return np.full(n, menu[0]), None
-        return menu[rng.integers(0, k, size=n)], None
-    signal = np.nanmean(theta, axis=1) + policy.signal_noise * (
-        rng.standard_normal(n)
+            return menu, np.zeros(n, dtype=np.int64), None
+        return menu, rng.integers(0, k, size=n), None
+    signal = np.where(valid, theta, 0.0).sum(axis=1) / m + (
+        policy.signal_noise * rng.standard_normal(n)
     )
     if k == 1:
-        return np.full(n, menu[0]), signal
+        return menu, np.zeros(n, dtype=np.int64), signal
     edges = np.quantile(signal, np.arange(1, k) / k)
     bins = np.searchsorted(edges, signal, side="right")
     if policy.kind == "signal_concordant":
-        return menu[bins], signal
-    return menu[k - 1 - bins], signal  # adversarial: stringent when strong
+        return menu, bins, signal
+    return menu, k - 1 - bins, signal  # adversarial: stringent when strong
 
 
 def simulate_population(cfg: ScenarioConfig, replicate: int = 0) -> list:
@@ -520,45 +540,41 @@ class ConcordanceReport:
         }
 
 
-@dataclass
-class _Pool:
-    """Compact per-replicate extracts pooled for concordance checks."""
-
-    trial_alpha: list = field(default_factory=list)
-    trial_null: list = field(default_factory=list)
-    trial_positive: list = field(default_factory=list)
-    trial_m1: list = field(default_factory=list)
-    trial_z1: list = field(default_factory=list)
-    slot_alpha: list = field(default_factory=list)
-    slot_null: list = field(default_factory=list)
-    slot_positive: list = field(default_factory=list)
-    slot_z: list = field(default_factory=list)
-    slot_multi: list = field(default_factory=list)
-
-    def add(self, draw: PopulationDraw) -> None:
-        self.trial_alpha.append(draw.alpha)
-        self.trial_null.append(draw.null_truth)
-        self.trial_positive.append(draw.positive)
-        m1 = draw.m == 1
-        self.trial_m1.append(m1)
-        self.trial_z1.append(draw.z[:, 0])
-        rows, cols = np.nonzero(draw.valid)
-        self.slot_alpha.append(draw.alpha[rows])
-        self.slot_null.append(draw.theta[rows, cols] <= 0.0)
-        self.slot_positive.append(draw.positive[rows])
-        self.slot_z.append(draw.z[rows, cols])
-        self.slot_multi.append(draw.m[rows] > 1)
-
-    def concat(self) -> dict:
-        return {
-            key: np.concatenate(value)
-            for key, value in self.__dict__.items()
-        }
-
-
 def _mean_check(name, alpha, null_mask) -> MeanCheck:
-    n_null = int(np.count_nonzero(null_mask))
-    n_nonnull = int(null_mask.size - n_null)
+    """The mean check over per-unit alphas and null flags."""
+    values, index = np.unique(
+        np.asarray(alpha, dtype=float), return_inverse=True
+    )
+    counts = np.bincount(index * 2 + null_mask, minlength=2 * values.size)
+    return _mean_check_counts(name, values, counts.reshape(values.size, 2))
+
+
+def _exact_moments(values, counts):
+    """Exact first and second moments of ``values`` repeated ``counts``
+    times, as integers in units of 1/d: returns (n, S1, S2, d) with
+    S1 = d * sum and S2 = d**2 * sum of squares.  Every finite double is
+    an integer over a power of two, so d is the largest denominator."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    d = max((den for _, den in ratios), default=1)
+    n = s1 = s2 = 0
+    for (num, den), c in zip(ratios, counts.tolist()):
+        v = num * (d // den)
+        n += c
+        s1 += c * v
+        s2 += c * v * v
+    return n, s1, s2, d
+
+
+def _mean_check_counts(name, values, counts) -> MeanCheck:
+    """The mean check from distinct alphas and, per alpha, the count of
+    (non-null, null) units.
+
+    Means and variances are exact rational numbers rounded once, so
+    they do not depend on summation order, and a constant alpha gives
+    equal means and ``se_diff == 0.0``.
+    """
+    n_null = int(counts[:, 1].sum())
+    n_nonnull = int(counts[:, 0].sum())
     if n_null == 0 or n_nonnull == 0:
         return MeanCheck(
             name=name,
@@ -570,18 +586,19 @@ def _mean_check(name, alpha, null_mask) -> MeanCheck:
             passed=True,
             vacuous=True,
         )
-    # Work on differences from alpha[0]: for a constant alpha they are
-    # exactly zero, so both means return that constant and both variances
-    # 0.0 whatever numpy's summation order.  Otherwise only rounding moves.
-    a0 = alpha[0]
-    d = alpha - a0
-    d_null = d[null_mask]
-    d_nonnull = d[~null_mask]
-    mean_null = float(a0 + d_null.mean())
-    mean_nonnull = float(a0 + d_nonnull.mean())
-    var_null = float(d_null.var(ddof=1)) if n_null > 1 else 0.0
-    var_nonnull = float(d_nonnull.var(ddof=1)) if n_nonnull > 1 else 0.0
-    se = math.sqrt(var_null / n_null + var_nonnull / n_nonnull)
+    means = []
+    # se^2 = sum over both parts of var / n = Q / (n^2 (n - 1) d^2), with
+    # Q = n S2 - S1^2; kept as one exact fraction num / den.
+    num, den = 0, 1
+    for column in (counts[:, 1], counts[:, 0]):
+        n, s1, s2, d = _exact_moments(values, column)
+        means.append(s1 / (n * d))
+        if n > 1:
+            part_den = n * n * (n - 1) * d * d
+            num = num * part_den + (n * s2 - s1 * s1) * den
+            den *= part_den
+    mean_null, mean_nonnull = means
+    se = math.sqrt(num / den)
     passed = mean_null - mean_nonnull <= 3.0 * se + _EQ_SLACK
     return MeanCheck(
         name=name,
@@ -618,111 +635,155 @@ def _noise_allowance(n_bins: int, p: float = _P_FLAG) -> int:
     return k
 
 
-def _binned_check(name, z, null, positive, bin_width) -> BinnedCheck:
-    n_units = int(z.size)
-    if n_units == 0:
-        return BinnedCheck(
-            name=name,
-            bin_width=bin_width,
-            n_bins_checked=0,
-            n_bins_skipped=0,
-            n_bins_failed=0,
-            failure_allowance=0,
-            worst_excess=None,
-            n_units=0,
-            passed=True,
-        )
+def _bin_counts(z, null, positive, bin_width):
+    """Occupied z bins (ascending) and, per bin, the count of units that
+    are (negative non-null, negative null, positive non-null, positive
+    null)."""
     bins = np.floor(z / bin_width).astype(np.int64)
-    checked = skipped = failed = 0
-    worst = None
-    for b in np.unique(bins):
-        in_bin = bins == b
-        pos = positive & in_bin
-        neg = ~positive & in_bin
-        n_pos = int(np.count_nonzero(pos))
-        n_neg = int(np.count_nonzero(neg))
-        if n_pos == 0 or n_neg == 0:
-            skipped += 1
-            continue
-        checked += 1
-        x_pos = int(np.count_nonzero(null & pos))
-        x_neg = int(np.count_nonzero(null & neg))
-        p_pos = x_pos / n_pos
-        p_neg = x_neg / n_neg
-        # Pooled SE (two-proportion score test): stays honest when a
-        # sample proportion sits on the 0/1 boundary, where the unpooled
-        # estimator degenerates to zero variance.
-        pooled = (x_pos + x_neg) / (n_pos + n_neg)
-        se = math.sqrt(
-            pooled * (1.0 - pooled) * (1.0 / n_pos + 1.0 / n_neg)
-        )
-        excess = (p_pos - p_neg) - 3.0 * se
-        if worst is None or excess > worst:
-            worst = excess
-        if excess > _EQ_SLACK:
-            failed += 1
+    code = positive * 2 + null
+    if bins.size == 0:
+        return bins, np.zeros((0, 4), dtype=np.int64)
+    lo = bins.min()
+    span = int(bins.max() - lo) + 1
+    if span <= bins.size:
+        keys = lo + np.arange(span)
+        slots = bins - lo
+    else:  # sparse bins: number the occupied ones instead
+        keys, slots = np.unique(bins, return_inverse=True)
+    counts = np.bincount(slots * 4 + code, minlength=4 * keys.size)
+    counts = counts.reshape(keys.size, 4)
+    occupied = counts.any(axis=1)
+    return keys[occupied], counts[occupied]
+
+
+def _binned_check(name, counts, bin_width) -> BinnedCheck:
+    """The binned check from the per-bin counts of ``_bin_counts``.
+
+    A bin is checked when it holds both outcome classes; it runs a
+    pooled two-proportion test of Pr[null | positive] <= Pr[null |
+    negative] at 3 SE.
+    """
+    n_neg = counts[:, 0] + counts[:, 1]
+    n_pos = counts[:, 2] + counts[:, 3]
+    both = (n_neg > 0) & (n_pos > 0)
+    n_neg, n_pos = n_neg[both], n_pos[both]
+    x_neg, x_pos = counts[both, 1], counts[both, 3]
+    p_pos = x_pos / n_pos
+    p_neg = x_neg / n_neg
+    # Pooled SE (two-proportion score test): stays honest when a sample
+    # proportion sits on the 0/1 boundary, where the unpooled estimator
+    # degenerates to zero variance.
+    pooled = (x_pos + x_neg) / (n_pos + n_neg)
+    se = np.sqrt(pooled * (1.0 - pooled) * (1.0 / n_pos + 1.0 / n_neg))
+    excess = (p_pos - p_neg) - 3.0 * se
+    checked = int(excess.size)
+    failed = int(np.count_nonzero(excess > _EQ_SLACK))
     allowance = _noise_allowance(checked)
     return BinnedCheck(
         name=name,
         bin_width=bin_width,
         n_bins_checked=checked,
-        n_bins_skipped=skipped,
+        n_bins_skipped=int(counts.shape[0]) - checked,
         n_bins_failed=failed,
         failure_allowance=allowance,
-        worst_excess=worst,
-        n_units=n_units,
+        worst_excess=float(excess.max()) if checked else None,
+        n_units=int(counts.sum()),
         passed=failed <= allowance,
     )
 
 
-def _concordance_from_pool(pool: dict, bin_width: float) -> ConcordanceReport:
-    first = _mean_check(
-        "first: E[alpha | endpoint null] <= E[alpha | endpoint non-null]",
-        pool["slot_alpha"],
-        pool["slot_null"],
+_CHECK_NAMES = {
+    "first": "first: E[alpha | endpoint null] <= E[alpha | endpoint non-null]",
+    "second": "second: E[alpha | failure region] <= E[alpha | complement]",
+    "third": "third: Pr[null | z bin, positive] <= Pr[null | z bin, negative] "
+    "(single-endpoint trials)",
+    "fourth": "fourth: per-endpoint Pr[null | z bin, positive] <= negative "
+    "(multi-endpoint trials)",
+}
+
+
+def _draw_counts(draw: PopulationDraw, bin_width: float) -> dict:
+    """The counts behind the four concordance checks for one draw.
+
+    Each check gets (keys, counts): ascending distinct alphas with their
+    (non-null, null) unit counts for the first two, occupied z bins with
+    their ``_bin_counts`` columns for the last two.  Units are endpoint
+    slots for the first and fourth checks and trials for the others.
+    """
+    values, index = np.unique(draw.alpha, return_inverse=True)
+    k = values.size
+    # Valid endpoint slots as flat indices, and the trial of each.
+    slots = np.flatnonzero(draw.valid)
+    rows = slots // draw.valid.shape[1]
+    slot_null = draw.theta.ravel()[slots] <= 0.0
+    slot_alpha = np.bincount(index[rows] * 2 + slot_null, minlength=2 * k)
+    trial_alpha = np.bincount(index * 2 + draw.null_truth, minlength=2 * k)
+    single = np.flatnonzero(draw.m == 1)
+    multi = np.flatnonzero(draw.m[rows] > 1)
+    return {
+        "first": (values, slot_alpha.reshape(k, 2)),
+        "second": (values, trial_alpha.reshape(k, 2)),
+        "third": _bin_counts(
+            draw.z[single, 0],
+            draw.null_truth[single],
+            draw.positive[single],
+            bin_width,
+        ),
+        "fourth": _bin_counts(
+            draw.z.ravel()[slots[multi]],
+            slot_null[multi],
+            draw.positive[rows[multi]],
+            bin_width,
+        ),
+    }
+
+
+def _merge_counts(total: dict | None, part: dict) -> dict:
+    """Sum two sets of check counts, aligning their keys."""
+    if total is None:
+        return part
+    merged = {}
+    for check, (keys, counts) in total.items():
+        part_keys, part_counts = part[check]
+        union = np.union1d(keys, part_keys)
+        summed = np.zeros((union.size, counts.shape[1]), dtype=np.int64)
+        summed[np.searchsorted(union, keys)] += counts
+        summed[np.searchsorted(union, part_keys)] += part_counts
+        merged[check] = (union, summed)
+    return merged
+
+
+def _concordance_from_counts(counts: dict, bin_width: float):
+    return ConcordanceReport(
+        first=_mean_check_counts(_CHECK_NAMES["first"], *counts["first"]),
+        second=_mean_check_counts(_CHECK_NAMES["second"], *counts["second"]),
+        third=_binned_check(
+            _CHECK_NAMES["third"], counts["third"][1], bin_width
+        ),
+        fourth=_binned_check(
+            _CHECK_NAMES["fourth"], counts["fourth"][1], bin_width
+        ),
     )
-    second = _mean_check(
-        "second: E[alpha | failure region] <= E[alpha | complement]",
-        pool["trial_alpha"],
-        pool["trial_null"],
-    )
-    m1 = pool["trial_m1"]
-    third = _binned_check(
-        "third: Pr[null | z bin, positive] <= Pr[null | z bin, negative] "
-        "(single-endpoint trials)",
-        pool["trial_z1"][m1],
-        pool["trial_null"][m1],
-        pool["trial_positive"][m1],
-        bin_width,
-    )
-    multi = pool["slot_multi"]
-    fourth = _binned_check(
-        "fourth: per-endpoint Pr[null | z bin, positive] <= negative "
-        "(multi-endpoint trials)",
-        pool["slot_z"][multi],
-        pool["slot_null"][multi],
-        pool["slot_positive"][multi],
-        bin_width,
-    )
-    return ConcordanceReport(first=first, second=second, third=third, fourth=fourth)
 
 
 def check_concordance(draws, bin_width: float = 0.25) -> ConcordanceReport:
     """Empirical checks of the four concordance assumptions at 3 MC-SE.
 
-    Accepts one PopulationDraw or an iterable of them (pooled).  The
-    third/fourth checks bin z (width 0.25 by default) because the
-    assumptions condition on exact z; one-class bins are skipped and
-    reported, not judged.
+    Accepts one PopulationDraw or an iterable of them (pooled).  Each
+    draw is reduced to integer counts per alpha value and per z bin
+    before the next is read, so pooling loses nothing and memory does
+    not grow with the number of draws.  The third/fourth checks bin z
+    (width 0.25 by default) because the assumptions condition on exact
+    z; one-class bins are skipped and reported, not judged.
     """
     if isinstance(draws, PopulationDraw):
         draws = [draws]
-    pool = _Pool()
+    counts = None
     for draw in draws:
-        pool.add(draw)
-    if not pool.trial_alpha:
+        counts = _merge_counts(counts, _draw_counts(draw, bin_width))
+    if counts is None:
         raise ValueError("no draws given")
-    return _concordance_from_pool(pool.concat(), bin_width)
+    return _concordance_from_counts(counts, bin_width)
 
 
 # ----------------------------------------------------------------------
@@ -751,18 +812,21 @@ def _omega_hat_arrays(
         return 0.0
     z = draw.z[pos]
     valid = draw.valid[pos]
-    rows, cols = np.nonzero(valid)
-    h = np.full(z.shape, np.nan)
-    h[rows, cols] = h_values(model, z[rows, cols])
-    loss = np.where(valid, 1.0 - h, 0.0)
     is_a = draw.is_type_a[pos]
+    # h is evaluated only where the bound reads it: every endpoint of a
+    # type B trial, one endpoint of a type A trial.  Other slots keep a
+    # zero loss, so each row sums to its trial's contribution exactly.
+    needed = valid & ~is_a[:, None]
+    a_rows = np.nonzero(is_a)[0]
     if endpoint_mode == "designated":
-        single = loss[:, 0]
+        needed[a_rows, 0] = True
     else:
-        z_filled = np.where(valid, z, -np.inf)
-        single = loss[np.arange(z.shape[0]), np.argmax(z_filled, axis=1)]
-    contributions = np.where(is_a, single, loss.sum(axis=1))
-    return float(contributions.sum())
+        z_filled = np.where(valid[a_rows], z[a_rows], -np.inf)
+        needed[a_rows, np.argmax(z_filled, axis=1)] = True
+    rows, cols = np.nonzero(needed)
+    loss = np.zeros(z.shape)
+    loss[rows, cols] = 1.0 - h_values(model, z[rows, cols])
+    return float(loss.sum(axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -864,15 +928,16 @@ def validate_bounds(
     taus = np.empty(cfg.replicates)
     omegas = np.empty(cfg.replicates)
     positives = np.empty(cfg.replicates)
-    pool = _Pool()
+    counts = None
     for rep in range(cfg.replicates):
         draw = draw_population(cfg, rep)
         fps[rep] = oracle_count_fp(draw)
         taus[rep] = _tau_hat_arrays(rho, draw)
         omegas[rep] = _omega_hat_arrays(model, draw, endpoint_mode)
         positives[rep] = np.count_nonzero(draw.positive)
-        pool.add(draw)
-    concordance = _concordance_from_pool(pool.concat(), 0.25)
+        counts = _merge_counts(counts, _draw_counts(draw, 0.25))
+        del draw  # free this replicate before the next one is drawn
+    concordance = _concordance_from_counts(counts, 0.25)
 
     tau_diff = fps - taus
     omega_diff = fps - omegas

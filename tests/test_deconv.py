@@ -487,6 +487,20 @@ class TestStopReason:
         assert result["stop_reason"] == "no_acceptable_step"
         assert result["iterations"] == 1
 
+    @pytest.mark.parametrize(
+        "warm, message",
+        [
+            (np.full(6, np.nan), "finite"),
+            (np.array([0.0, 0.0, np.inf, 0.0, 0.0, 0.0]), "finite"),
+            (np.zeros(5), "basis_df=6"),
+            (np.zeros((2, 6)), "basis_df=6"),
+        ],
+        ids=["nan", "inf", "short", "2d"],
+    )
+    def test_bad_warm_start_rejected_at_entry(self, warm, message):
+        with pytest.raises(ValueError, match=message):
+            fit_g(mixture_obs(3, n=50), FitConfig(), warm_start=warm)
+
     def test_failed_replicates_recorded(self):
         case = golden_bootstrap.CASES[0]
         obs, cfg = golden_bootstrap.case_inputs(*case)

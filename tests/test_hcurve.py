@@ -7,12 +7,14 @@ from scipy.special import logsumexp
 
 from enfp.deconv import FitConfig, PriorModel, fit_g_path
 from enfp.hcurve import (
+    _BLOCK,
     ZERO_TOLERANCE,
     HCurve,
     HRangeError,
     h_curve,
     h_probability,
     h_values,
+    _support,
     render_svg,
     z_for_h,
 )
@@ -174,8 +176,17 @@ class TestBatchInvariance:
 
     def test_independent_of_block_boundaries(self, readme_model):
         zs = np.random.default_rng(43).uniform(-8.0, 12.0, 500)
-        tiled = h_values(readme_model, np.tile(zs, 19))
-        assert np.array_equal(tiled, np.tile(h_values(readme_model, zs), 19))
+        five_point = PriorModel.from_masses(
+            [-2.0, -0.5, 1.0, 2.5, 4.0], [0.12, 0.08, 0.24, 0.32, 0.24]
+        )
+        for model in (readme_model, five_point):
+            # Rows per block shrink as the support grows; tile past two
+            # blocks, to a count that ends partway through one.
+            rows = max(1, _BLOCK // _support(model)[0].size)
+            tiles = 2 * rows // zs.size + 2
+            assert (zs.size * tiles) % rows != 0
+            tiled = h_values(model, np.tile(zs, tiles))
+            assert np.array_equal(tiled, np.tile(h_values(model, zs), tiles))
 
 
 class TestLogsumexpReference:

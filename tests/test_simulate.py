@@ -1,17 +1,28 @@
 """Tests for the Monte Carlo simulator and its oracle diagnostics."""
 
+import importlib.util
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from enfp.bayes_bounds import omega_hat, positive_result
 from enfp.freq_bounds import FreqBoundInput, tau_hat_mixed
 from enfp.simulate import (
+    _EQ_SLACK,
+    BinnedCheck,
     PolicySpec,
     ScenarioConfig,
+    _bin_counts,
+    _binned_check,
     _mean_check,
+    _noise_allowance,
     _omega_hat_arrays,
     _tau_hat_arrays,
     check_concordance,
@@ -307,6 +318,277 @@ class TestMeanCheck:
             + alpha[~null_mask].var(ddof=1) / self.N_NONNULL
         )
         assert_allclose(check.se_diff, se, rtol=1e-12)
+
+
+def binned_check(name, z, null, positive, bin_width):
+    """The library's binned check over per-unit arrays."""
+    _, counts = _bin_counts(z, null, positive, bin_width)
+    return _binned_check(name, counts, bin_width)
+
+
+def reference_binned_check(name, z, null, positive, bin_width):
+    """The binned check as a plain loop over the occupied z bins, one
+    mask per bin: the reference the counting implementation must equal
+    field for field."""
+    n_units = int(z.size)
+    if n_units == 0:
+        return BinnedCheck(
+            name=name,
+            bin_width=bin_width,
+            n_bins_checked=0,
+            n_bins_skipped=0,
+            n_bins_failed=0,
+            failure_allowance=0,
+            worst_excess=None,
+            n_units=0,
+            passed=True,
+        )
+    bins = np.floor(z / bin_width).astype(np.int64)
+    checked = skipped = failed = 0
+    worst = None
+    for b in np.unique(bins):
+        in_bin = bins == b
+        pos = positive & in_bin
+        neg = ~positive & in_bin
+        n_pos = int(np.count_nonzero(pos))
+        n_neg = int(np.count_nonzero(neg))
+        if n_pos == 0 or n_neg == 0:
+            skipped += 1
+            continue
+        checked += 1
+        x_pos = int(np.count_nonzero(null & pos))
+        x_neg = int(np.count_nonzero(null & neg))
+        p_pos = x_pos / n_pos
+        p_neg = x_neg / n_neg
+        pooled = (x_pos + x_neg) / (n_pos + n_neg)
+        se = math.sqrt(
+            pooled * (1.0 - pooled) * (1.0 / n_pos + 1.0 / n_neg)
+        )
+        excess = (p_pos - p_neg) - 3.0 * se
+        if worst is None or excess > worst:
+            worst = excess
+        if excess > _EQ_SLACK:
+            failed += 1
+    allowance = _noise_allowance(checked)
+    return BinnedCheck(
+        name=name,
+        bin_width=bin_width,
+        n_bins_checked=checked,
+        n_bins_skipped=skipped,
+        n_bins_failed=failed,
+        failure_allowance=allowance,
+        worst_excess=worst,
+        n_units=n_units,
+        passed=failed <= allowance,
+    )
+
+
+def pooled_units(draws):
+    """Every draw's concordance units, concatenated: per-trial arrays of
+    the single-endpoint trials and per-slot arrays of the valid
+    endpoints (alpha, null, positive, z, multi-endpoint flag)."""
+    trial = {key: [] for key in ("alpha", "null", "positive", "z1", "m1")}
+    slot = {key: [] for key in ("alpha", "null", "positive", "z", "multi")}
+    for draw in draws:
+        trial["alpha"].append(draw.alpha)
+        trial["null"].append(draw.null_truth)
+        trial["positive"].append(draw.positive)
+        trial["z1"].append(draw.z[:, 0])
+        trial["m1"].append(draw.m == 1)
+        rows, cols = np.nonzero(draw.valid)
+        slot["alpha"].append(draw.alpha[rows])
+        slot["null"].append(draw.theta[rows, cols] <= 0.0)
+        slot["positive"].append(draw.positive[rows])
+        slot["z"].append(draw.z[rows, cols])
+        slot["multi"].append(draw.m[rows] > 1)
+    return (
+        {key: np.concatenate(parts) for key, parts in trial.items()},
+        {key: np.concatenate(parts) for key, parts in slot.items()},
+    )
+
+
+# Units of a binned check: z drawn either anywhere (sparse, far-apart
+# bins on both sides of zero) or from a few values that share bins.
+UNITS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.floats(-40.0, 40.0, allow_nan=False),
+            st.sampled_from([-3.1, -0.2, -0.01, 0.0, 0.1, 1.96, 2.2]),
+        ),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=300,
+)
+
+
+class TestBinnedCheckCounts:
+    """The bincount implementation against the per-bin loop."""
+
+    @staticmethod
+    def both(units, bin_width=0.25):
+        z = np.array([u[0] for u in units], dtype=float)
+        null = np.array([u[1] for u in units], dtype=bool)
+        positive = np.array([u[2] for u in units], dtype=bool)
+        args = ("check", z, null, positive, bin_width)
+        return binned_check(*args), reference_binned_check(*args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(units=UNITS, bin_width=st.sampled_from([0.25, 0.5, 1.0]))
+    def test_equals_reference(self, units, bin_width):
+        got, expected = self.both(units, bin_width)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "units",
+        [
+            [],
+            [(1.3, True, False)],
+            [(0.1, False, True), (0.2, True, True), (-0.1, True, False)],
+            [(2.0, True, True), (2.1, False, False), (2.2, True, False)],
+        ],
+        ids=["empty", "single_unit", "one_class_bins", "one_mixed_bin"],
+    )
+    def test_edge_cases_equal_reference(self, units):
+        got, expected = self.both(units)
+        assert got == expected
+        assert got.n_units == len(units)
+
+    def test_dense_and_sparse_bins_equal_reference(self):
+        rng = np.random.default_rng(53)
+        z = np.concatenate([rng.normal(0.0, 2.0, 5000), [-1e6, 1e6]])
+        null = rng.random(z.size) < 0.3
+        positive = rng.random(z.size) < 0.4 + 0.1 * np.tanh(z)
+        for width in (0.25, 1e-3):  # a bin per ~unit, then sparse bins
+            args = ("check", z, null, positive, width)
+            assert binned_check(*args) == reference_binned_check(*args)
+
+    def test_pooled_draws_with_different_ranges_equal_reference(self):
+        draws = [
+            draw_population(mixed_scenario(n_trials=4000), 0),
+            draw_population(
+                mixed_scenario(
+                    n_trials=3000,
+                    true_prior=((-4.0, 0.5, 6.0), (0.3, 0.3, 0.4)),
+                    seed=7,
+                ),
+                1,
+            ),
+            draw_population(
+                mixed_scenario(
+                    n_trials=2000,
+                    true_prior=((-1.0, 1.5), (0.5, 0.5)),
+                    m_distribution=((1, B, 0.5), (4, A, 0.5)),
+                    seed=9,
+                ),
+                0,
+            ),
+        ]
+        ranges = {
+            (np.nanmin(d.z) // 0.25, np.nanmax(d.z) // 0.25) for d in draws
+        }
+        assert len(ranges) == 3
+        report = check_concordance(draws)
+        trial, slot = pooled_units(draws)
+        m1 = trial["m1"]
+        multi = slot["multi"]
+        assert report.third == reference_binned_check(
+            report.third.name,
+            trial["z1"][m1],
+            trial["null"][m1],
+            trial["positive"][m1],
+            0.25,
+        )
+        assert report.fourth == reference_binned_check(
+            report.fourth.name,
+            slot["z"][multi],
+            slot["null"][multi],
+            slot["positive"][multi],
+            0.25,
+        )
+        assert report.first == _mean_check(
+            report.first.name, slot["alpha"], slot["null"]
+        )
+        assert report.second == _mean_check(
+            report.second.name, trial["alpha"], trial["null"]
+        )
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError, match="no draws"):
+            check_concordance([])
+
+
+class TestStreaming:
+    def test_memory_does_not_grow_with_replicates(self):
+        def peak(replicates):
+            cfg = mixed_scenario(n_trials=20_000, replicates=replicates)
+            tracemalloc.start()
+            try:
+                validate_bounds(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations (caches, lazy imports)
+        assert peak(8) <= 1.3 * peak(2)
+
+
+# The golden file's cases and their inputs live in the script that wrote
+# it.
+_spec = importlib.util.spec_from_file_location(
+    "make_golden_simulate",
+    Path(__file__).parent / "data" / "make_golden_simulate.py",
+)
+golden_simulate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_simulate)
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_simulate.json").read_text()
+)
+
+
+def _flatten(report, prefix=""):
+    out = {}
+    for key, value in report.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+class TestGoldenOracle:
+    # The conditional alpha means and their standard error are exact
+    # rationals rounded once; the file holds the earlier floating-point
+    # sums, which sit within a few ulp of them.
+    ULP_FIELDS = {
+        "alpha_mean_null",
+        "alpha_mean_nonnull",
+        *(
+            f"concordance.{check}.{field}"
+            for check in ("first", "second")
+            for field in ("mean_null", "mean_nonnull", "se_diff")
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        return golden_simulate.fitted_model()
+
+    @pytest.mark.parametrize(
+        "case",
+        golden_simulate.CASES,
+        ids=[golden_simulate.case_name(*c) for c in golden_simulate.CASES],
+    )
+    def test_report_equals_golden(self, case, fitted):
+        report = golden_simulate.run_case(*case, model=fitted)
+        got = _flatten(json.loads(json.dumps(report)))
+        expected = _flatten(GOLDEN[golden_simulate.case_name(*case)])
+        assert got.keys() == expected.keys()
+        for key, want in expected.items():
+            if key in self.ULP_FIELDS:
+                assert abs(got[key] - want) <= 4 * math.ulp(want), key
+            else:
+                assert got[key] == want, key
 
 
 class TestVectorizedBounds:
