@@ -23,38 +23,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from enfp.bayes_bounds import omega_hat, positive_result
-from enfp.deconv import (
-    FitConfig,
-    PriorModel,
-    bootstrap,
-    fit_g,
-    fit_g_path,
-    rho_from_g,
-)
-from enfp.freq_bounds import (
-    FreqBoundInput,
-    tau_hat_mixed,
-    tau_hat_single,
-    tau_hat_stratified,
-)
-from enfp.hcurve import h_curve, h_probability
-from enfp.ledger import Ledger, LedgerCorruptError, LedgerError, StratumSpec
-from enfp.records_io import (
-    RecordParseError,
-    extract_observations,
-    load_records,
-    save_records,
-    synthesize_corpus,
-)
-from enfp.simulate import ScenarioConfig, validate_bounds
-from enfp.trials import classify_rejection
+if TYPE_CHECKING:
+    from enfp.deconv import FitConfig, PriorModel
+
+# Each command imports the enfp modules it runs at its top, so a process
+# loads only what its subcommand needs.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -179,6 +159,8 @@ def _canon_mode(mode: str) -> str:
 
 
 def _load_model(path) -> PriorModel:
+    from enfp.deconv import PriorModel
+
     try:
         return PriorModel.from_json(path)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -191,6 +173,8 @@ def _load_model(path) -> PriorModel:
 
 
 def _cmd_synth(args) -> int:
+    from enfp.records_io import save_records, synthesize_corpus
+
     records = synthesize_corpus(
         n_exact=args.n_exact,
         n_censored=args.n_censored,
@@ -213,6 +197,8 @@ def _cmd_synth(args) -> int:
 
 
 def _fit_config(args) -> FitConfig:
+    from enfp.deconv import FitConfig
+
     overrides = {
         "grid_low": args.grid_low,
         "grid_high": args.grid_high,
@@ -230,6 +216,9 @@ def _fit_config(args) -> FitConfig:
 
 
 def _cmd_fit(args) -> int:
+    from enfp.deconv import bootstrap, fit_g, fit_g_path, rho_from_g
+    from enfp.records_io import extract_observations, load_records
+
     records = load_records(args.records, fmt=args.format)
     obs = extract_observations(records)
     cfg = _fit_config(args)
@@ -290,6 +279,8 @@ def _band_arrays(model: PriorModel, grid: np.ndarray):
 
 
 def _cmd_hcurve(args) -> int:
+    from enfp.hcurve import h_curve, h_probability
+
     model = _load_model(args.model)
     if args.at is not None:
         h = h_probability(model, args.at)
@@ -303,6 +294,10 @@ def _cmd_hcurve(args) -> int:
             print(f"h({_sig(args.at)}) = {_sig(h)}")
         if not (args.out or args.svg):
             return EXIT_OK
+    if not (math.isfinite(args.z_low) and math.isfinite(args.z_high)):
+        raise UsageError("--z-low and --z-high must be finite")
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise UsageError("--step must be finite and above 0")
     if not args.z_low < args.z_high:
         raise UsageError("--z-low must be below --z-high")
     n_steps = int(round((args.z_high - args.z_low) / args.step))
@@ -343,6 +338,13 @@ def _freq_specs(records):
 
 
 def _bounds_freq(args) -> int:
+    from enfp.freq_bounds import (
+        FreqBoundInput,
+        tau_hat_mixed,
+        tau_hat_single,
+        tau_hat_stratified,
+    )
+
     if args.rho is None:
         raise DataError("frequentist bounds require --rho")
     if (args.alphas is None) == (args.records is None):
@@ -353,6 +355,8 @@ def _bounds_freq(args) -> int:
         tau = tau_hat_single(args.rho, args.alphas)
         print(f"tau_hat = {_sig(tau)} ({len(args.alphas)} trials)")
         return EXIT_OK
+    from enfp.records_io import load_records
+
     records = load_records(args.records, fmt=args.format)
     specs, strata = _freq_specs(records)
     if isinstance(args.rho, dict):
@@ -379,6 +383,10 @@ def _bounds_freq(args) -> int:
 
 
 def _bounds_bayes(args) -> int:
+    from enfp.bayes_bounds import omega_hat, positive_result
+    from enfp.records_io import load_records
+    from enfp.trials import classify_rejection
+
     if args.model is None or args.records is None:
         raise DataError("bayes bounds require --model and --records")
     model = _load_model(args.model)
@@ -413,6 +421,8 @@ def _bounds_bayes(args) -> int:
 
 
 def _bounds_from_ledger(args) -> int:
+    from enfp.ledger import Ledger
+
     with Ledger.open(args.ledger) as led:
         st = led.status()
     name = "tau_hat" if st["mode"] == "frequentist" else "omega_hat"
@@ -458,6 +468,8 @@ def _cmd_ledger_noaction(args) -> int:
 
 
 def _cmd_ledger_init(args) -> int:
+    from enfp.ledger import Ledger, StratumSpec
+
     mode = _canon_mode(args.mode)
     model = _load_model(args.model) if args.model else None
     strata = None
@@ -485,6 +497,8 @@ def _cmd_ledger_init(args) -> int:
 
 
 def _cmd_ledger_propose(args) -> int:
+    from enfp.ledger import Ledger
+
     with Ledger.open(args.path) as led:
         decision = led.propose(
             args.trial_id,
@@ -513,12 +527,17 @@ def _cmd_ledger_propose(args) -> int:
 
 
 def _classified(trial, model):
+    from enfp.trials import classify_rejection
+
     if trial.outcome is None and trial.fully_observed:
         return trial.with_outcome(classify_rejection(trial, model))
     return trial
 
 
 def _cmd_ledger_record(args) -> int:
+    from enfp.ledger import Ledger
+    from enfp.records_io import load_records
+
     records = load_records(args.records, fmt=args.format)
     model = _load_model(args.model) if args.model else None
     with Ledger.open(args.path) as led:
@@ -537,6 +556,9 @@ def _cmd_ledger_record(args) -> int:
 
 
 def _cmd_ledger_adjust(args) -> int:
+    from enfp.ledger import Ledger
+    from enfp.records_io import load_records
+
     records = load_records(args.records, fmt=args.format)
     model = _load_model(args.model) if args.model else None
     with Ledger.open(args.path) as led:
@@ -594,6 +616,8 @@ def _print_status(st: dict, path, header: bool = True) -> None:
 
 
 def _cmd_ledger_status(args) -> int:
+    from enfp.ledger import Ledger
+
     with Ledger.open(args.path) as led:
         st = led.status()
     if args.json:
@@ -609,6 +633,8 @@ def _cmd_ledger_status(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from enfp.simulate import ScenarioConfig, validate_bounds
+
     try:
         with open(args.scenario) as fh:
             cfg = ScenarioConfig.from_json(fh.read())
@@ -867,15 +893,7 @@ def main(argv: Optional[list] = None) -> int:
     except ConvergenceError as exc:
         print(f"enfp: error: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    except (
-        RecordParseError,
-        LedgerCorruptError,
-        LedgerError,
-        DataError,
-    ) as exc:
-        print(f"enfp: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, ValueError, KeyError, RuntimeError) as exc:
+    except (DataError, OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"enfp: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

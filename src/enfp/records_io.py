@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from enfp.deconv import ObservationSet
 from enfp.trials import (
     EfficacyMeasure,
     FailureRegionType,
@@ -37,6 +36,9 @@ from enfp.trials import (
     classify_rejection,
     p_to_z,
 )
+
+if TYPE_CHECKING:
+    from enfp.deconv import ObservationSet
 
 RECORDS_FORMAT = "enfp-records/1"
 
@@ -488,6 +490,8 @@ def extract_observations(records: Iterable[TrialRecord]) -> ObservationSet:
     their interval.  Endpoints are pooled across trials -- the prior
     is over per-endpoint effects.
     """
+    from enfp.deconv import ObservationSet
+
     exact: List[float] = []
     censored: List[Tuple[float, float]] = []
     for trial in records:

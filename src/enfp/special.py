@@ -21,19 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "norm_pdf",
     "log_norm_pdf",
     "norm_cdf",
     "norm_sf",
     "norm_ppf",
     "norm_interval_prob",
-    "erf",
     "erfc",
 ]
 
 _SQRT2 = np.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 # Cody (1969) rational coefficients.  Region |x| <= 0.46875: erf(x).
 _ERF_A = np.array(
@@ -167,29 +164,6 @@ def erfc(x):
     neg = x < -0.46875
     out[neg] = 2.0 - out[neg]
     return out[0] if scalar else out
-
-
-def erf(x):
-    """Error function, vectorized, double precision."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    ax = np.abs(x)
-    out = np.empty_like(ax)
-    small = ax <= 0.46875
-    if np.any(small):
-        out[small] = _erf_small(x[small])
-    rest = ~small
-    if np.any(rest):
-        tail = 1.0 - erfc(ax[rest])
-        out[rest] = np.where(x[rest] < 0.0, -tail, tail)
-    return out[0] if scalar else out
-
-
-def norm_pdf(x):
-    """Standard normal density."""
-    x = np.asarray(x, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def log_norm_pdf(x):

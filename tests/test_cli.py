@@ -327,6 +327,24 @@ class TestHcurve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--step", "0"),
+            ("--z-high", "inf", "--step", "1"),
+            ("--step", "nan"),
+            ("--step", "-0.1"),
+            ("--z-low=-inf",),
+        ],
+        ids=["step-zero", "z-high-inf", "step-nan", "step-negative", "z-low-inf"],
+    )
+    def test_bad_grid_flags_are_usage_errors(self, capsys, tmp_path, flags):
+        _, model_path = two_point_model(tmp_path)
+        code, out, err = run(capsys, "hcurve", str(model_path), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("enfp: error: --")
+
 
 class TestBounds:
     def test_freq_three_alphas(self, capsys):
@@ -1015,8 +1033,11 @@ class TestEntryPoint:
         assert proc.returncode == 1
 
     def test_import_loads_no_scipy(self):
+        # Resolve every public name first: the namespace is lazy, so a
+        # bare import would check cli.py alone.
         code = (
-            "import sys, enfp.cli; "
+            "import sys, enfp, enfp.cli; "
+            "[getattr(enfp, name) for name in enfp.__all__]; "
             "print(sorted(m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')))"
         )
@@ -1025,3 +1046,88 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+def enfp_modules_after(*argv):
+    """The enfp submodules a fresh interpreter holds after a successful
+    ``cli.main(argv)``."""
+    code = (
+        "import json, sys\n"
+        "from enfp import cli\n"
+        f"code = cli.main({list(argv)!r})\n"
+        "mods = sorted(m for m in sys.modules if m.startswith('enfp.'))\n"
+        "print(json.dumps([code, mods]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, mods = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    return {m.removeprefix("enfp.") for m in mods}
+
+
+class TestImportFootprint:
+    """Each subcommand imports only the modules it runs."""
+
+    def test_help_loads_only_cli(self):
+        assert enfp_modules_after("--help") == {"cli"}
+
+    def test_freq_bounds_from_alphas(self):
+        mods = enfp_modules_after(
+            "bounds", "--mode", "freq", "--rho", "0.1", "--alphas", "0.025,0.05"
+        )
+        assert "freq_bounds" in mods
+        assert not mods & {"deconv", "hcurve", "records_io", "ledger", "simulate"}
+
+    def test_freq_ledger_status(self, tmp_path):
+        path = tmp_path / "budget.jsonl"
+        Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09).close()
+        mods = enfp_modules_after("ledger", "status", str(path), "--json")
+        assert "ledger" in mods
+        assert not mods & {"deconv", "records_io", "simulate"}
+
+    def test_synth(self, tmp_path):
+        out = tmp_path / "corpus.csv"
+        mods = enfp_modules_after(
+            "synth", "--out", str(out), "--n-exact", "20", "--n-censored", "5"
+        )
+        assert "records_io" in mods
+        assert not mods & {"deconv", "ledger", "simulate"}
+
+
+class TestNamespace:
+    def test_bare_import_loads_no_submodule(self):
+        code = (
+            "import sys, enfp; "
+            "print(sorted(m for m in sys.modules if m.startswith('enfp.')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_every_public_name_resolves(self):
+        import enfp
+
+        assert enfp.Ledger is Ledger
+        assert enfp.fit_g.__module__ == "enfp.deconv"
+        for name in enfp.__all__:
+            assert getattr(enfp, name) is not None, name
+        assert set(enfp.__all__) <= set(dir(enfp))
+
+    def test_star_import_binds_every_name(self):
+        import enfp
+
+        namespace = {}
+        exec("from enfp import *", namespace)
+        for name in enfp.__all__:
+            assert namespace[name] is getattr(enfp, name), name
+
+    def test_unknown_name_is_attribute_error(self):
+        import enfp
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            enfp.no_such_name
+        assert not hasattr(enfp, "no_such_name")
