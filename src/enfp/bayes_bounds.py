@@ -2,9 +2,14 @@
 
 Each positive trial contributes G = 1 - h(z) for its designated endpoint
 (type A) or the sum of 1 - h(z_j) over endpoints (type B); omega-hat is
-the running total of contributions.  The same number serves as the
+the total of contributions.  The same number serves as the
 unconditional bound omega and as the conditional-ENFP estimate given the
 observed Z values of the positive trials.
+
+Every omega in the package is one correctly rounded sum (``math.fsum``)
+of 1 - h over the endpoint slots one read rule marks, so it does not
+depend on summation order.  ``trial_contribution`` is the same rule for
+one trial, kept scalar for the ledger, which spends a trial at a time.
 
 Contributions are computed from h-values frozen at classification time,
 so ledger history never changes when the prior is refit; recomputation
@@ -17,6 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from enfp.hcurve import h_values
 from enfp.trials import FailureRegionType, TrialRecord
 
@@ -27,9 +34,10 @@ class PositiveTrialResult:
 
     Args:
         trial_id: trial identifier.
-        m: number of endpoints.
+        m: number of endpoints (>= 1).
         failure_type: failure region type.
-        z_values: observed z per endpoint (length m, endpoint order).
+        z_values: observed z per endpoint (length m, endpoint order);
+            NaN is refused, +-inf is kept.
         h_values: h-probability per endpoint, frozen at classification.
         stratum: optional stratum label.
     """
@@ -44,8 +52,14 @@ class PositiveTrialResult:
     def __post_init__(self) -> None:
         zs = tuple(float(z) for z in self.z_values)
         hs = tuple(float(h) for h in self.h_values)
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if len(zs) != self.m or len(hs) != self.m:
             raise ValueError("z_values and h_values must have length m")
+        if any(math.isnan(z) for z in zs):
+            # NaN compares false, so the tightest endpoint would depend on
+            # how the maximum is taken.
+            raise ValueError("z_values must not be NaN")
         if any(not 0.0 <= h <= 1.0 for h in hs):
             raise ValueError("h_values must lie in [0, 1]")
         object.__setattr__(self, "z_values", zs)
@@ -115,13 +129,8 @@ def trial_contribution(
     Returns:
         G >= 0.
     """
-    if endpoint_mode not in ("designated", "tightest"):
-        raise ValueError(f"unknown endpoint_mode: {endpoint_mode!r}")
+    _check_endpoint_mode(endpoint_mode)
     if trial.failure_type is FailureRegionType.A:
-        if not trial.h_values:
-            raise ValueError(
-                f"trial {trial.trial_id}: no endpoint values present"
-            )
         if endpoint_mode == "tightest":
             idx = max(
                 range(trial.m), key=lambda j: trial.z_values[j]
@@ -130,6 +139,27 @@ def trial_contribution(
             idx = 0
         return 1.0 - trial.h_values[idx]
     return math.fsum(1.0 - h for h in trial.h_values)
+
+
+def _check_endpoint_mode(endpoint_mode: str) -> None:
+    if endpoint_mode not in ("designated", "tightest"):
+        raise ValueError(f"unknown endpoint_mode: {endpoint_mode!r}")
+
+
+def _omega_from_arrays(z, valid, type_a, endpoint_mode, h_read) -> float:
+    """omega-hat over padded (n, m_max) arrays of positive trials: the
+    fsum of 1 - h over the slots ``trial_contribution`` reads, where
+    ``h_read(read)`` gives h at the slots of mask ``read``, row-major."""
+    _check_endpoint_mode(endpoint_mode)
+    read = valid & ~type_a[:, None]
+    a_rows = np.flatnonzero(type_a)
+    if endpoint_mode == "designated":
+        read[a_rows, 0] = True
+    else:
+        z_a = np.where(valid[a_rows], z[a_rows], -np.inf)
+        read[a_rows, np.argmax(z_a, axis=1)] = True
+    # A memoryview hands fsum one float at a time, not a list of them all.
+    return math.fsum(memoryview(1.0 - h_read(read)))
 
 
 def omega_hat(
@@ -142,9 +172,16 @@ def omega_hat(
     conditional expected number of false positives given the observed
     Z values of the positive set.
     """
-    return math.fsum(
-        trial_contribution(t, endpoint_mode=endpoint_mode)
-        for t in positives
+    m_max = max((t.m for t in positives), default=1)
+    pad = (math.nan,) * m_max  # z is never NaN, so NaN marks padding
+    shape = (len(positives), m_max)
+    z = np.array([t.z_values + pad[t.m:] for t in positives]).reshape(shape)
+    h = np.array([t.h_values + pad[t.m:] for t in positives]).reshape(shape)
+    type_a = np.array(
+        [t.failure_type is FailureRegionType.A for t in positives], dtype=bool
+    )
+    return _omega_from_arrays(
+        z, ~np.isnan(z), type_a, endpoint_mode, lambda read: h[read]
     )
 
 

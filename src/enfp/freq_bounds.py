@@ -4,6 +4,11 @@ The population-level expected number of false positives over N trials is
 bounded by tau = (1/N) (sum_i delta(rho, m_i, t_i)) (sum_i alpha_i),
 the product-of-sums form; with all single-endpoint trials this reduces
 to rho * sum(alpha_i).  All functions here are pure arithmetic.
+
+Every tau in the package is computed here: both sums exact, rounded once
+each (as ``math.fsum``), then sum_delta * sum_alpha / N.  So
+``tau_hat_mixed``, the simulator's tau and the ledger's projected spend
+agree bit for bit over the same designs, in any order.
 """
 
 from __future__ import annotations
@@ -12,11 +17,37 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from enfp.trials import FailureRegionType
 
 # Relative slack used when flooring capacity ratios: guards against
 # quotients like 0.99 / (0.09 * 0.025) landing one ulp below an integer.
 _FLOOR_SLACK = 1e-12
+
+# Exact sums are Python ints in units of 2**-1074, the smallest subnormal
+# double, of which every finite double is a multiple.
+_SUM_EXP = 1074
+
+
+def _exact(x: float) -> int:
+    """x as an exact integer multiple of 2**-1074.
+
+    Raises ValueError for NaN and OverflowError for an infinity.
+    """
+    n, d = x.as_integer_ratio()  # d = 2**k with k <= 1074
+    return n << (_SUM_EXP + 1 - d.bit_length())
+
+
+def _read(total: int, n: int = 1) -> float:
+    """Correctly rounded total * 2**-1074 / n; math.fsum's value at n=1."""
+    return total / (n << _SUM_EXP)
+
+
+def _exact_sum(values, counts) -> int:
+    """Exact sum of ``values``, each repeated ``counts`` times."""
+    pairs = zip(np.asarray(values).tolist(), counts.tolist())
+    return sum(c * _exact(v) for v, c in pairs)
 
 
 @dataclass(frozen=True)
@@ -100,22 +131,35 @@ def tau_hat_single(rho_hat: float, alphas: Sequence[float]) -> float:
     return rho_hat * math.fsum(alphas)
 
 
+def _tau_from_sums(sum_delta: int, sum_alpha: int, n: int) -> float:
+    """(sum delta)(sum alpha)/n from exact sums; 0 with no trials."""
+    return _read(sum_delta) * _read(sum_alpha) / n if n else 0.0
+
+
+def _tau_from_arrays(rho: float, m, type_a, alpha) -> float:
+    """tau-hat over per-trial m, type-A flags and alphas, with delta and
+    alpha taken once per distinct value, each weighted by its count."""
+    designs = 2 * np.asarray(m, dtype=np.int64) + np.asarray(type_a, bool)
+    keys, counts = np.unique(designs, return_counts=True)
+    types = (FailureRegionType.B, FailureRegionType.A)
+    deltas = [delta(rho, k // 2, types[k % 2]) for k in keys.tolist()]
+    sum_alpha = _exact_sum(*np.unique(alpha, return_counts=True))
+    return _tau_from_sums(_exact_sum(deltas, counts), sum_alpha, len(m))
+
+
 def tau_hat_mixed(bound_input: FreqBoundInput) -> float:
     """Mixed-population bound: (1/N) (sum delta_i) (sum alpha_i).
 
-    The product-of-sums form is computed exactly as written; it reduces
-    to ``tau_hat_single`` when every trial is (1, B).  An empty trial
-    list is vacuous and yields 0.
+    Both sums are exact; it reduces to ``tau_hat_single`` when every
+    trial is (1, B).  An empty trial list is vacuous and yields 0.
     """
-    n = len(bound_input.trials)
-    if n == 0:
-        return 0.0
-    sum_delta = math.fsum(
-        delta(bound_input.rho_hat, spec.m, spec.t)
-        for spec in bound_input.trials
+    trials = bound_input.trials
+    return _tau_from_arrays(
+        bound_input.rho_hat,
+        [spec.m for spec in trials],
+        [spec.t is FailureRegionType.A for spec in trials],
+        [spec.alpha for spec in trials],
     )
-    sum_alpha = math.fsum(spec.alpha for spec in bound_input.trials)
-    return (1.0 / n) * sum_delta * sum_alpha
 
 
 def capacity(

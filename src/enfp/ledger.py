@@ -16,13 +16,12 @@ the reconstructed running sums are byte-identical to the originals; any
 entry whose stored spend fails to replay exactly marks the file corrupt.
 Non-finite numbers are refused: the file is strict JSON.
 
-Running sums are exact.  Every finite double is an integer multiple of
-2**-1074, so each stratum keeps its sums of deltas, alphas and
-contributions as one Python ``int`` scaled by 2**1074 and converts to a
-float only when read, by one correctly rounded int/int division.  That
-read equals ``math.fsum`` of the same values bit for bit (both are the
-correctly rounded exact sum), so files written when every operation
-re-summed its whole history with ``math.fsum`` replay unchanged.  Each
+Running sums are exact.  Each stratum keeps its sums of deltas, alphas
+and contributions as the exact integers of ``enfp.freq_bounds`` and
+reads them as ``math.fsum`` of the same values would, bit for bit, so
+files written when every operation re-summed its history replay
+unchanged.  Projected spend is ``freq_bounds``' product of sums, equal
+to ``tau_hat_mixed`` over the accepted designs bit for bit.  Each
 operation, and each replayed entry, costs the same whatever the
 history's length, so replay is linear in the number of entries.
 
@@ -40,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 from enfp.bayes_bounds import PositiveTrialResult, positive_result, trial_contribution
-from enfp.freq_bounds import delta
+from enfp.freq_bounds import _exact, _read, _tau_from_sums, delta
 from enfp.trials import CannotClassifyError, FailureRegionType, TrialRecord
 
 __all__ = [
@@ -55,26 +54,6 @@ __all__ = [
 ]
 
 LEDGER_FORMAT = "enfp-ledger/1"
-
-# Running sums are held as exact integers in units of 2**-1074, the
-# smallest subnormal double, of which every finite double is a multiple.
-_SUM_EXP = 1074
-_SUM_UNIT = 1 << _SUM_EXP
-
-
-def _exact(x: float) -> int:
-    """x as an exact integer multiple of 2**-1074.
-
-    Raises ValueError for NaN and OverflowError for an infinity.
-    """
-    n, d = x.as_integer_ratio()  # d = 2**k with k <= 1074
-    return n << (_SUM_EXP + 1 - d.bit_length())
-
-
-def _read(total: int) -> float:
-    """The correctly rounded float of an exact sum, equal to math.fsum."""
-    return total / _SUM_UNIT
-
 
 class LedgerError(ValueError):
     """Invalid ledger operation or configuration."""
@@ -142,8 +121,8 @@ class ReplayStats:
 class _StratumState:
     budget: float
     rho_hat: float | None
-    # Exact sums in units of 2**-1074 (see _exact): deltas and alphas of
-    # the accepted proposals, and the spending contributions.
+    # Exact sums (see freq_bounds._exact): deltas and alphas of the
+    # accepted proposals, and the spending contributions.
     sum_delta: int = 0
     sum_alpha: int = 0
     sum_contribution: int = 0
@@ -163,9 +142,7 @@ class _StratumState:
             n += 1
             sum_delta += _exact(d)
             sum_alpha += _exact(alpha)
-        if n == 0:
-            return 0.0
-        return _read(sum_delta) * _read(sum_alpha) / n
+        return _tau_from_sums(sum_delta, sum_alpha, n)
 
     def accept(self, d: float, alpha: float) -> None:
         self.sum_delta += _exact(d)

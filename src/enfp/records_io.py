@@ -299,27 +299,27 @@ def _assemble_trial(group: dict) -> TrialRecord:
         )
     rows = sorted(rows, key=lambda r: r[1].endpoint_index)
     measures = tuple(r[1] for r in rows)
-    if group["h_floor"] is not None:
-        policy = RejectionPolicy.at_h_floor(group["h_floor"])
-    else:
-        if group["nominal_alpha"] is None:
-            raise RecordParseError(
-                f"row {first_row}: trial {trial_id!r} has neither "
-                "nominal_alpha nor h_floor"
-            )
-        crits = []
-        for row_no, meas, crit in rows:
-            if crit is None:
-                raise RecordParseError(
-                    f"row {row_no}: alpha-level rows need critical_z"
-                )
-            crits.append(crit)
-        policy = RejectionPolicy(
-            mode="alpha_level",
-            per_endpoint_critical_z=tuple(crits),
-            nominal_alpha=group["nominal_alpha"],
-        )
     try:
+        if group["h_floor"] is not None:
+            policy = RejectionPolicy.at_h_floor(group["h_floor"])
+        else:
+            if group["nominal_alpha"] is None:
+                raise RecordParseError(
+                    f"row {first_row}: trial {trial_id!r} has neither "
+                    "nominal_alpha nor h_floor"
+                )
+            crits = []
+            for row_no, meas, crit in rows:
+                if crit is None:
+                    raise RecordParseError(
+                        f"row {row_no}: alpha-level rows need critical_z"
+                    )
+                crits.append(crit)
+            policy = RejectionPolicy(
+                mode="alpha_level",
+                per_endpoint_critical_z=tuple(crits),
+                nominal_alpha=group["nominal_alpha"],
+            )
         return TrialRecord(
             trial_id=trial_id,
             m=group["m"],
@@ -329,6 +329,8 @@ def _assemble_trial(group: dict) -> TrialRecord:
             stratum=group["stratum"],
             outcome=group["outcome"],
         )
+    except RecordParseError:
+        raise
     except ValueError as exc:
         raise RecordParseError(
             f"row {first_row}: trial {trial_id!r}: {exc}"

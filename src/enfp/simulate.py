@@ -13,6 +13,10 @@ noise factor, idiosyncratic noise, then policy draws.  Identical config
 and seed therefore reproduce identical populations and reports, and
 replicates may run in parallel without changing results.
 
+Each replicate's tau-hat and omega-hat come from the array cores of
+``enfp.freq_bounds`` and ``enfp.bayes_bounds``, so they are the
+library's bounds over the same draw, bit for bit.
+
 The endpoint-correlation model is a shared-factor Gaussian: noise =
 sqrt(rc) * common + sqrt(1 - rc) * idiosyncratic, giving correlation rc
 between any two endpoints of the same trial.
@@ -32,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from enfp.bayes_bounds import _check_endpoint_mode, _omega_from_arrays
+from enfp.freq_bounds import _SUM_EXP, _exact, _read, _tau_from_arrays
 from enfp.hcurve import ZERO_TOLERANCE, h_values
 from enfp.special import norm_ppf
 from enfp.trials import (
@@ -549,22 +555,6 @@ def _mean_check(name, alpha, null_mask) -> MeanCheck:
     return _mean_check_counts(name, values, counts.reshape(values.size, 2))
 
 
-def _exact_moments(values, counts):
-    """Exact first and second moments of ``values`` repeated ``counts``
-    times, as integers in units of 1/d: returns (n, S1, S2, d) with
-    S1 = d * sum and S2 = d**2 * sum of squares.  Every finite double is
-    an integer over a power of two, so d is the largest denominator."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    d = max((den for _, den in ratios), default=1)
-    n = s1 = s2 = 0
-    for (num, den), c in zip(ratios, counts.tolist()):
-        v = num * (d // den)
-        n += c
-        s1 += c * v
-        s2 += c * v * v
-    return n, s1, s2, d
-
-
 def _mean_check_counts(name, values, counts) -> MeanCheck:
     """The mean check from distinct alphas and, per alpha, the count of
     (non-null, null) units.
@@ -587,18 +577,22 @@ def _mean_check_counts(name, values, counts) -> MeanCheck:
             vacuous=True,
         )
     means = []
-    # se^2 = sum over both parts of var / n = Q / (n^2 (n - 1) d^2), with
-    # Q = n S2 - S1^2; kept as one exact fraction num / den.
+    # Exact sums S1, S2 in units of 2**-1074 and 2**-2148; se^2 = sum over
+    # both parts of var / n = Q / (n^2 (n - 1)), Q = n S2 - S1^2, exactly.
+    exact = [_exact(v) for v in np.asarray(values, dtype=float).tolist()]
     num, den = 0, 1
     for column in (counts[:, 1], counts[:, 0]):
-        n, s1, s2, d = _exact_moments(values, column)
-        means.append(s1 / (n * d))
+        weights = column.tolist()
+        n = sum(weights)
+        s1 = sum(c * x for c, x in zip(weights, exact))
+        s2 = sum(c * x * x for c, x in zip(weights, exact))
+        means.append(_read(s1, n))
         if n > 1:
-            part_den = n * n * (n - 1) * d * d
+            part_den = n * n * (n - 1)
             num = num * part_den + (n * s2 - s1 * s1) * den
             den *= part_den
     mean_null, mean_nonnull = means
-    se = math.sqrt(num / den)
+    se = math.sqrt(num / (den << 2 * _SUM_EXP))
     passed = mean_null - mean_nonnull <= 3.0 * se + _EQ_SLACK
     return MeanCheck(
         name=name,
@@ -791,44 +785,6 @@ def check_concordance(draws, bin_width: float = 0.25) -> ConcordanceReport:
 # ----------------------------------------------------------------------
 
 
-def _tau_hat_arrays(rho: float, draw: PopulationDraw) -> float:
-    """Portfolio frequentist bound over every proposed trial (Eq. form:
-    product of sums over delta and alpha).  Vectorized mirror of
-    freq_bounds.tau_hat_mixed, tested to agree with it."""
-    deltas = np.where(draw.is_type_a, rho, rho * draw.m)
-    n = draw.n_trials
-    return float(deltas.sum() * draw.alpha.sum() / n)
-
-
-def _omega_hat_arrays(
-    model, draw: PopulationDraw, endpoint_mode: str = "designated"
-) -> float:
-    """Bayesian bound over positive trials, vectorized mirror of
-    bayes_bounds.omega_hat (designated = endpoint 1, tightest = max z)."""
-    if endpoint_mode not in ("designated", "tightest"):
-        raise ValueError(f"unknown endpoint mode {endpoint_mode!r}")
-    pos = np.nonzero(draw.positive)[0]
-    if pos.size == 0:
-        return 0.0
-    z = draw.z[pos]
-    valid = draw.valid[pos]
-    is_a = draw.is_type_a[pos]
-    # h is evaluated only where the bound reads it: every endpoint of a
-    # type B trial, one endpoint of a type A trial.  Other slots keep a
-    # zero loss, so each row sums to its trial's contribution exactly.
-    needed = valid & ~is_a[:, None]
-    a_rows = np.nonzero(is_a)[0]
-    if endpoint_mode == "designated":
-        needed[a_rows, 0] = True
-    else:
-        z_filled = np.where(valid[a_rows], z[a_rows], -np.inf)
-        needed[a_rows, np.argmax(z_filled, axis=1)] = True
-    rows, cols = np.nonzero(needed)
-    loss = np.zeros(z.shape)
-    loss[rows, cols] = 1.0 - h_values(model, z[rows, cols])
-    return float(loss.sum(axis=1).sum())
-
-
 @dataclass(frozen=True)
 class SimulationReport:
     """Monte Carlo comparison of realized false positives to the bounds."""
@@ -921,8 +877,18 @@ def validate_bounds(
     gives the end-to-end check.  A bound is flagged violated when the
     mean of (realized - bound) across replicates exceeds 3 MC-SE of
     that difference.
+
+    Raises:
+        ValueError: before any draw, if ``rho_for_bound`` is not finite
+            in [0, 1] or ``endpoint_mode`` is unknown.
     """
-    rho = rho_from_prior(cfg) if rho_for_bound is None else float(rho_for_bound)
+    if rho_for_bound is None:
+        rho = rho_from_prior(cfg)
+    else:
+        rho = float(rho_for_bound)
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError(f"rho_for_bound must lie in [0, 1], got {rho}")
+    _check_endpoint_mode(endpoint_mode)
     model = cfg.prior_model() if model_for_bound is None else model_for_bound
     fps = np.empty(cfg.replicates)
     taus = np.empty(cfg.replicates)
@@ -932,11 +898,16 @@ def validate_bounds(
     for rep in range(cfg.replicates):
         draw = draw_population(cfg, rep)
         fps[rep] = oracle_count_fp(draw)
-        taus[rep] = _tau_hat_arrays(rho, draw)
-        omegas[rep] = _omega_hat_arrays(model, draw, endpoint_mode)
         positives[rep] = np.count_nonzero(draw.positive)
+        # Counts before omega, so their temporaries and z never coexist.
         counts = _merge_counts(counts, _draw_counts(draw, 0.25))
-        del draw  # free this replicate before the next one is drawn
+        taus[rep] = _tau_from_arrays(rho, draw.m, draw.is_type_a, draw.alpha)
+        z = draw.z[draw.positive]
+        omegas[rep] = _omega_from_arrays(
+            z, draw.valid[draw.positive], draw.is_type_a[draw.positive],
+            endpoint_mode, lambda read: h_values(model, z[read]),
+        )
+        del draw, z  # free this replicate before the next one is drawn
     concordance = _concordance_from_counts(counts, 0.25)
 
     tau_diff = fps - taus

@@ -160,11 +160,13 @@ class RejectionPolicy:
                 raise ValueError("h_threshold mode requires h_floor")
             if not 0.0 < self.h_floor < 1.0:
                 raise DomainError("h_floor must lie in (0, 1)")
-        object.__setattr__(
-            self,
-            "per_endpoint_critical_z",
-            tuple(float(c) for c in self.per_endpoint_critical_z),
-        )
+        crits = tuple(float(c) for c in self.per_endpoint_critical_z)
+        for j, c in enumerate(crits, start=1):
+            if math.isnan(c):
+                # Every z compares false against NaN: the endpoint could
+                # never reject, silently.
+                raise ValueError(f"critical z of endpoint {j} is NaN")
+        object.__setattr__(self, "per_endpoint_critical_z", crits)
 
     @classmethod
     def at_alpha(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from enfp.bayes_bounds import (
@@ -86,6 +88,25 @@ class TestTrialContribution:
         r = _result("t6", 1, B, [2.0], [0.9])
         with pytest.raises(ValueError):
             trial_contribution(r, endpoint_mode="median")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_omega_hat_of_the_trial(self, data):
+        # The scalar the ledger spends and omega_hat's array read rule
+        # agree exactly, with tied and infinite z included.
+        m = data.draw(st.integers(1, 4))
+        z_value = st.sampled_from([-math.inf, 0.5, 2.0, math.inf]) | st.floats(
+            -5.0, 5.0
+        )
+        r = _result(
+            "t",
+            m,
+            data.draw(st.sampled_from([A, B])),
+            data.draw(st.lists(z_value, min_size=m, max_size=m)),
+            data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)),
+        )
+        for mode in ("designated", "tightest"):
+            assert trial_contribution(r, mode) == omega_hat([r], mode)
 
 
 class TestOmegaHat:
@@ -259,6 +280,20 @@ class TestValidation:
             _result("t", 1, B, [2.0], [1.5])
         with pytest.raises(ValueError):
             _result("t", 1, B, [2.0], [-0.1])
+
+    @pytest.mark.parametrize("z", [(math.nan, 3.0), (3.0, math.nan)])
+    def test_nan_z_refused(self, z):
+        with pytest.raises(ValueError, match="NaN"):
+            _result("t", 2, A, z, [0.5, 0.9])
+
+    def test_infinite_z_kept(self):
+        r = _result("t", 2, A, [-math.inf, math.inf], [0.0, 1.0])
+        assert trial_contribution(r, "tightest") == 0.0
+        assert omega_hat([r], "tightest") == 0.0
+
+    def test_needs_an_endpoint(self):
+        with pytest.raises(ValueError, match="m must be"):
+            _result("t", 0, A, [], [])
 
     def test_boundary_h_values_allowed(self):
         r = _result("t", 2, B, [9.0, -9.0], [1.0, 0.0])

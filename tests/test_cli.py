@@ -1,9 +1,9 @@
 """End-to-end tests of the command-line interface.
 
 Commands run in-process through ``cli.main`` so exit codes and output
-can be asserted exactly; one subprocess test covers the actual entry
-point.  Exit code contract: 0 success, 1 usage, 2 data, 3
-non-convergence.
+can be asserted exactly; subprocess tests, run with the ``src_env``
+fixture, cover the actual entry point and each command's imports.  Exit
+code contract: 0 success, 1 usage, 2 data, 3 non-convergence.
 """
 
 import json
@@ -983,6 +983,15 @@ class TestSimulateCli:
         assert code == 2
         assert "invalid scenario" in err
 
+    @pytest.mark.parametrize("rho", ["nan", "2", "-0.5"])
+    def test_bad_rho_is_data_error(self, capsys, tmp_path, rho):
+        scenario = write_scenario(tmp_path)
+        code, out, err = run(capsys, "simulate", str(scenario), "--rho", rho)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("enfp: error: rho_for_bound")
+
     def test_missing_scenario_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", str(tmp_path / "nope.json"))
         assert code == 2
@@ -1015,24 +1024,26 @@ class TestSimulateCli:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    def test_module_invocation(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "enfp.cli", "--help"],
             capture_output=True,
             text=True,
+            env=src_env,
         )
         assert proc.returncode == 0
         assert "ledger" in proc.stdout
 
-    def test_usage_exit_code_from_subprocess(self):
+    def test_usage_exit_code_from_subprocess(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "enfp.cli", "frobnicate"],
             capture_output=True,
             text=True,
+            env=src_env,
         )
         assert proc.returncode == 1
 
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, src_env):
         # Resolve every public name first: the namespace is lazy, so a
         # bare import would check cli.py alone.
         code = (
@@ -1042,15 +1053,18 @@ class TestEntryPoint:
             "if m == 'scipy' or m.startswith('scipy.')))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=src_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
 
-def enfp_modules_after(*argv):
-    """The enfp submodules a fresh interpreter holds after a successful
-    ``cli.main(argv)``."""
+def enfp_modules_after(env, *argv):
+    """The enfp submodules a fresh interpreter, started with ``env``,
+    holds after a successful ``cli.main(argv)``."""
     code = (
         "import json, sys\n"
         "from enfp import cli\n"
@@ -1059,7 +1073,7 @@ def enfp_modules_after(*argv):
         "print(json.dumps([code, mods]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     code, mods = json.loads(proc.stdout.splitlines()[-1])
@@ -1070,26 +1084,30 @@ def enfp_modules_after(*argv):
 class TestImportFootprint:
     """Each subcommand imports only the modules it runs."""
 
-    def test_help_loads_only_cli(self):
-        assert enfp_modules_after("--help") == {"cli"}
+    def test_help_loads_only_cli(self, src_env):
+        assert enfp_modules_after(src_env, "--help") == {"cli"}
 
-    def test_freq_bounds_from_alphas(self):
+    def test_freq_bounds_from_alphas(self, src_env):
         mods = enfp_modules_after(
+            src_env,
             "bounds", "--mode", "freq", "--rho", "0.1", "--alphas", "0.025,0.05"
         )
         assert "freq_bounds" in mods
         assert not mods & {"deconv", "hcurve", "records_io", "ledger", "simulate"}
 
-    def test_freq_ledger_status(self, tmp_path):
+    def test_freq_ledger_status(self, tmp_path, src_env):
         path = tmp_path / "budget.jsonl"
         Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09).close()
-        mods = enfp_modules_after("ledger", "status", str(path), "--json")
+        mods = enfp_modules_after(
+            src_env, "ledger", "status", str(path), "--json"
+        )
         assert "ledger" in mods
         assert not mods & {"deconv", "records_io", "simulate"}
 
-    def test_synth(self, tmp_path):
+    def test_synth(self, tmp_path, src_env):
         out = tmp_path / "corpus.csv"
         mods = enfp_modules_after(
+            src_env,
             "synth", "--out", str(out), "--n-exact", "20", "--n-censored", "5"
         )
         assert "records_io" in mods
@@ -1097,13 +1115,16 @@ class TestImportFootprint:
 
 
 class TestNamespace:
-    def test_bare_import_loads_no_submodule(self):
+    def test_bare_import_loads_no_submodule(self, src_env):
         code = (
             "import sys, enfp; "
             "print(sorted(m for m in sys.modules if m.startswith('enfp.')))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=src_env,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

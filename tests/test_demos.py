@@ -5,17 +5,13 @@ import ...``), so each runs in a fresh interpreter, from a scratch
 working directory, and must exit 0 without writing to stderr.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import enfp
-
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
-SRC = str(Path(enfp.__file__).resolve().parents[1])
 
 
 def test_all_five_demos_found():
@@ -23,11 +19,8 @@ def test_all_five_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs_cleanly(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
+def test_demo_runs_cleanly(demo, tmp_path, src_env):
+    env = src_env
     env["TMPDIR"] = str(tmp_path)  # demo output directories land here
     env.pop("ENFP_COLOR", None)
     proc = subprocess.run(

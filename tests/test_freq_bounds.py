@@ -1,12 +1,20 @@
 """Tests for frequentist ENFP bounds and capacity arithmetic."""
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from enfp.freq_bounds import (
     FreqBoundInput,
     TrialSpec,
+    _exact_sum,
+    _read,
     capacity,
     delta,
     tau_hat_mixed,
@@ -202,3 +210,39 @@ class TestInputValidation:
                 trials=((1, B, 0.05),),
                 strata=("a", "b"),
             )
+
+
+# Floats of both signs from subnormals to 1e3, with values that repeat.
+MAGNITUDES = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e3),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.sampled_from([5e-324, 1e-300, 1e-17, 0.025, 0.1, 1.0, 1e3]),
+)
+SIGNED = st.builds(lambda x, neg: -x if neg else x, MAGNITUDES, st.booleans())
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SIGNED, max_size=80))
+    def test_equals_fsum(self, values):
+        distinct, counts = np.unique(np.asarray(values), return_counts=True)
+        assert _read(_exact_sum(distinct, counts)) == math.fsum(values)
+
+
+class TestTauEqualsLedgerSpend:
+    """tau_hat_mixed over the designs a frequentist ledger accepted is
+    the projected spend the ledger stored, bit for bit, at every prefix
+    (the file comes from ``data/make_golden_ledgers.py``)."""
+
+    def test_every_accepted_prefix(self):
+        path = Path(__file__).parent / "data" / "golden_freq.jsonl"
+        header, *entries = (
+            json.loads(line) for line in path.read_text().splitlines()
+        )
+        designs = []
+        for entry in entries:
+            payload = entry["payload"]
+            designs.append((payload["m"], payload["t"], payload["alpha"]))
+            bound = FreqBoundInput(header["rho_hat"], tuple(designs))
+            assert tau_hat_mixed(bound) == entry["projected"], len(designs)
+        assert len(designs) == 280

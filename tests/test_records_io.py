@@ -170,6 +170,17 @@ class TestCsvErrors:
         with pytest.raises(RecordParseError, match="row 3"):
             records_from_csv(path)
 
+    def test_nan_critical_z_names_the_row(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            [
+                "t-1,1,1,B,2.0,,true,false,1.96,0.025,,,",
+                "t-2,1,1,B,9.0,,true,false,nan,0.025,,,",
+            ],
+        )
+        with pytest.raises(RecordParseError, match="row 3.*NaN"):
+            records_from_csv(path)
+
     def test_z_and_p_both_present(self, tmp_path):
         path = self._write(
             tmp_path, ["t-1,1,1,B,2.0,0.05,true,false,1.96,0.025,,,"]

@@ -23,8 +23,6 @@ from enfp.simulate import (
     _binned_check,
     _mean_check,
     _noise_allowance,
-    _omega_hat_arrays,
-    _tau_hat_arrays,
     check_concordance,
     draw_population,
     oracle_count_fp,
@@ -569,6 +567,16 @@ class TestGoldenOracle:
             for field in ("mean_null", "mean_nonnull", "se_diff")
         ),
     }
+    # The file holds per-replicate tau and omega from numpy's pairwise
+    # sums, where the library's are correctly rounded sums, so these
+    # fields differ by a few ulp of the case's mean bound.  The exact
+    # tests (TestVectorizedBounds here, and the tau and omega tests of
+    # freq_bounds and bayes_bounds) pin the correctly rounded values.
+    BOUND_FIELDS = {
+        f"{bound}_{field}": f"{bound}_hat_mean"
+        for bound in ("tau", "omega")
+        for field in ("hat_mean", "hat_se", "margin")
+    }
 
     @pytest.fixture(scope="class")
     def fitted(self):
@@ -587,38 +595,62 @@ class TestGoldenOracle:
         for key, want in expected.items():
             if key in self.ULP_FIELDS:
                 assert abs(got[key] - want) <= 4 * math.ulp(want), key
+            elif key in self.BOUND_FIELDS:
+                scale = math.ulp(expected[self.BOUND_FIELDS[key]])
+                assert abs(got[key] - want) <= 4 * scale, key
             else:
                 assert got[key] == want, key
 
 
 class TestVectorizedBounds:
+    """Each replicate's tau and omega are the library's bounds over the
+    same draw, bit for bit (one replicate, so the mean is the value)."""
+
     def test_tau_matches_reference(self):
-        draw = draw_population(mixed_scenario(n_trials=600))
+        cfg = mixed_scenario(n_trials=600, replicates=1)
+        draw = draw_population(cfg)
         rho = 0.13
         trials = tuple(
             (int(m), A if a else B, float(al))
             for m, a, al in zip(draw.m, draw.is_type_a, draw.alpha)
         )
         reference = tau_hat_mixed(FreqBoundInput(rho_hat=rho, trials=trials))
-        assert_allclose(_tau_hat_arrays(rho, draw), reference, rtol=1e-12)
+        report = validate_bounds(cfg, rho_for_bound=rho)
+        assert report.tau_hat_mean == reference
 
     def test_omega_matches_reference(self):
-        cfg = mixed_scenario(n_trials=600)
-        draw = draw_population(cfg)
+        cfg = mixed_scenario(n_trials=600, replicates=1)
         model = cfg.prior_model()
         frozen = [
             positive_result(record, model)
-            for record, _ in draw.to_records()
+            for record, _ in draw_population(cfg).to_records()
             if record.outcome == "positive"
         ]
         for mode in ("designated", "tightest"):
             reference = omega_hat(frozen, endpoint_mode=mode)
-            assert_allclose(
-                _omega_hat_arrays(model, draw, mode), reference, rtol=1e-12
-            )
+            report = validate_bounds(cfg, endpoint_mode=mode)
+            assert report.omega_hat_mean == reference, mode
 
 
 class TestValidateBounds:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rho_for_bound": math.nan},
+            {"rho_for_bound": math.inf},
+            {"rho_for_bound": 2.0},
+            {"rho_for_bound": -0.5},
+            {"endpoint_mode": "median"},
+        ],
+    )
+    def test_bad_inputs_refused_before_any_draw(self, kwargs, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a population")
+
+        monkeypatch.setattr("enfp.simulate.draw_population", no_draw)
+        with pytest.raises(ValueError):
+            validate_bounds(mixed_scenario(replicates=1), **kwargs)
+
     def test_concordant_scenario_no_violations(self):
         report = validate_bounds(mixed_scenario())
         assert not report.bound_violations["tau"]

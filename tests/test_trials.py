@@ -224,6 +224,15 @@ class TestDomainTypes:
             endpoint_index=1, censor_interval=(1.96, float("inf"))
         ).censor_interval == (1.96, float("inf"))
 
+    def test_nan_critical_z_rejected(self):
+        # Against a NaN critical value no z would ever reject.
+        with pytest.raises(ValueError, match="endpoint 2 is NaN"):
+            RejectionPolicy(
+                mode="alpha_level",
+                per_endpoint_critical_z=(1.96, float("nan")),
+                nominal_alpha=0.025,
+            )
+
     def test_censored_at_p_symmetric_band(self):
         meas = EfficacyMeasure.censored_at_p(1, 0.05)
         low, high = meas.censor_interval
