@@ -64,7 +64,9 @@ class TrialSpec:
         if not isinstance(self.t, FailureRegionType):
             object.__setattr__(self, "t", FailureRegionType(self.t))
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
+            raise ValueError(
+                f"alpha must be finite and lie in (0, 1), got {self.alpha}"
+            )
 
 
 SpecLike = Union[TrialSpec, Tuple]
@@ -119,16 +121,18 @@ def delta(rho: float, m: int, t: FailureRegionType) -> float:
 
 
 def tau_hat_single(rho_hat: float, alphas: Sequence[float]) -> float:
-    """All-m=1 bound: tau = rho_hat * sum(alphas).
+    """All-m=1 bound: tau = rho_hat * sum(alphas), as ``tau_hat_mixed``
+    over (1, B, alpha) designs.
 
-    An empty alpha list is vacuous and yields 0.
+    An empty alpha list is vacuous and yields 0.  Each alpha must lie in
+    (0, 1).
     """
-    if not 0.0 <= rho_hat <= 1.0:
-        raise ValueError("rho_hat must lie in [0, 1]")
-    alphas = [float(a) for a in alphas]
-    if not all(math.isfinite(a) for a in alphas):
-        raise ValueError("alphas must be finite")
-    return rho_hat * math.fsum(alphas)
+    return tau_hat_mixed(
+        FreqBoundInput(
+            rho_hat=rho_hat,
+            trials=tuple((1, FailureRegionType.B, a) for a in alphas),
+        )
+    )
 
 
 def _tau_from_sums(sum_delta: int, sum_alpha: int, n: int) -> float:
@@ -150,8 +154,8 @@ def _tau_from_arrays(rho: float, m, type_a, alpha) -> float:
 def tau_hat_mixed(bound_input: FreqBoundInput) -> float:
     """Mixed-population bound: (1/N) (sum delta_i) (sum alpha_i).
 
-    Both sums are exact; it reduces to ``tau_hat_single`` when every
-    trial is (1, B).  An empty trial list is vacuous and yields 0.
+    Both sums are exact; ``tau_hat_single`` is this bound over (1, B)
+    trials.  An empty trial list is vacuous and yields 0.
     """
     trials = bound_input.trials
     return _tau_from_arrays(

@@ -10,10 +10,15 @@ once the budget is exceeded.
 Every accepted mutation appends exactly one JSON object per line to the
 backing file and fsyncs before returning.  The first line is a header
 pinning the format version, mode, budgets, and the estimated null rate
-(frequentist) or prior-model hash (Bayesian).  Reopening a ledger replays
-the log through the same accumulation code used by live operations, so
-the reconstructed running sums are byte-identical to the originals; any
-entry whose stored spend fails to replay exactly marks the file corrupt.
+(frequentist) or prior-model hash (Bayesian); :meth:`Ledger.create` and
+:meth:`Ledger.open` put it through the same checks.  Each entry holds
+facts (a design, or an outcome with its frozen z and h values) and the
+numbers derived from them and the running state: ``projected`` for a
+proposal, ``spend_delta`` and ``spent_after`` for an outcome or
+adjustment.  One step derives those numbers and the state update.  A
+live operation calls it once and stores what it gives; reopening a
+ledger calls it for every line and marks the file corrupt unless every
+stored number equals it, so the replayed state is the live state.
 Non-finite numbers are refused: the file is strict JSON.
 
 Running sums are exact.  Each stratum keeps its sums of deltas, alphas
@@ -158,6 +163,16 @@ class _StratumState:
         self.contributions.append(contribution)
 
 
+def _stratum_fields(spec) -> dict:
+    """A stratum's header object: its budget, and its null rate if set."""
+    if not isinstance(spec, StratumSpec):
+        spec = StratumSpec(**spec)
+    fields = {"budget": spec.budget}
+    if spec.rho_hat is not None:
+        fields["rho_hat"] = spec.rho_hat
+    return fields
+
+
 class Ledger:
     """Append-only error-spending ledger bound to a JSON-lines file.
 
@@ -166,33 +181,55 @@ class Ledger:
     """
 
     def __init__(self, path, header: dict):
-        self._path = os.fspath(path)
-        self._header = header
-        self._mode = header["mode"]
-        self._endpoint_mode = header.get("endpoint_mode", "designated")
-        self._model_id = header.get("model_id")
+        """Bind ``header``, refusing with LedgerError any header that
+        :meth:`create` would not write."""
+        if header.get("format") != LEDGER_FORMAT:
+            raise LedgerError(
+                f"unrecognized ledger format {header.get('format')!r}"
+            )
+        mode = header.get("mode")
+        if mode not in ("frequentist", "bayes"):
+            raise LedgerError(f"unknown ledger mode {mode!r}")
+        endpoint_mode = header.get("endpoint_mode", "designated")
+        if endpoint_mode not in ("designated", "tightest"):
+            raise LedgerError(f"unknown endpoint mode {endpoint_mode!r}")
+        if mode == "bayes" and not isinstance(header.get("model_id"), str):
+            raise LedgerError("bayes mode requires the prior model")
         strata = header.get("strata")
-        self._stratified = strata is not None
+        if strata is None:
+            if "budget" not in header:
+                raise LedgerError("a ledger needs a budget or strata")
+            specs = {None: header}
+        elif "budget" in header or "rho_hat" in header:
+            raise LedgerError(
+                "give either a top-level budget or strata, not both"
+            )
+        elif not (isinstance(strata, dict) and strata):
+            raise LedgerError("strata mapping is empty")
+        else:
+            specs = strata
         self._strata: dict = {}
-        for name, spec in (
-            strata.items() if self._stratified else [(None, header)]
-        ):
+        for name, spec in specs.items():
             checked = StratumSpec(
                 budget=float(spec["budget"]), rho_hat=spec.get("rho_hat")
             )
-            if self._mode == "frequentist" and (
-                checked.rho_hat is None or checked.rho_hat == 0.0
-            ):
+            if mode == "frequentist" and not checked.rho_hat:
                 # With rho_hat = 0 every delta is 0: tau stays 0 whatever
                 # is spent, and the remaining capacity divides by zero.
-                raise LedgerError("frequentist mode requires rho_hat > 0")
+                where = "" if name is None else f"stratum {name!r}: "
+                raise LedgerError(
+                    f"{where}frequentist mode requires rho_hat > 0"
+                )
             self._strata[name] = _StratumState(
                 budget=checked.budget, rho_hat=checked.rho_hat
             )
+        self._path = os.fspath(path)
+        self._header = header
+        self._mode = mode
+        self._endpoint_mode = endpoint_mode
+        self._model_id = header.get("model_id")
+        self._stratified = strata is not None
         self._entries: list = []
-        self._next_sequence = 1
-        self._n_entries = 0
-        self._n_adjustments = 0
         self._replay_stats = None
         self._fh = None
 
@@ -219,48 +256,25 @@ class Ledger:
         prior model's hash in the header and refuse outcomes recorded
         against any other model.
         """
-        if mode not in ("frequentist", "bayes"):
-            raise LedgerError(f"unknown ledger mode {mode!r}")
-        if endpoint_mode not in ("designated", "tightest"):
-            raise LedgerError(f"unknown endpoint mode {endpoint_mode!r}")
         header = {
             "format": LEDGER_FORMAT,
             "mode": mode,
             "endpoint_mode": endpoint_mode,
             "created": time.time(),
         }
-        if strata is not None:
-            if budget is not None or rho_hat is not None:
-                raise LedgerError(
-                    "give either a top-level budget or strata, not both"
-                )
-            if not strata:
-                raise LedgerError("strata mapping is empty")
-            header_strata = {}
-            for name, spec in strata.items():
-                if not isinstance(spec, StratumSpec):
-                    spec = StratumSpec(**spec)
-                if mode == "frequentist" and spec.rho_hat is None:
-                    raise LedgerError(
-                        f"stratum {name!r} needs rho_hat in frequentist mode"
-                    )
-                one = {"budget": spec.budget}
-                if spec.rho_hat is not None:
-                    one["rho_hat"] = spec.rho_hat
-                header_strata[str(name)] = one
-            header["strata"] = header_strata
-        else:
-            if budget is None:
-                raise LedgerError("budget must be positive and finite")
+        if budget is not None:
             header["budget"] = float(budget)
-            if mode == "frequentist":
-                if rho_hat is None:
-                    raise LedgerError("frequentist mode requires rho_hat")
-                header["rho_hat"] = float(rho_hat)
-        if mode == "bayes":
-            if model is None:
-                raise LedgerError("bayes mode requires the prior model")
+        # The header keeps what its mode reads: the null rate of a
+        # frequentist ledger, the model hash of a Bayesian one.
+        if rho_hat is not None and mode == "frequentist":
+            header["rho_hat"] = float(rho_hat)
+        if model is not None and mode == "bayes":
             header["model_id"] = model.model_id
+        if strata is not None:
+            header["strata"] = {
+                str(name): _stratum_fields(spec)
+                for name, spec in strata.items()
+            }
         ledger = cls(path, header)
         line = cls._encode_line(header)
         if os.path.exists(path):
@@ -275,8 +289,9 @@ class Ledger:
     def open(cls, path) -> "Ledger":
         """Replay an existing ledger file, validating every entry.
 
-        The header's budgets and null rates are checked as :meth:`create`
-        checks them.  :attr:`replay_stats` reports the replay.
+        The header passes the checks that :meth:`create` applies, and
+        every number an entry stores must equal the one that live
+        operations derive.  :attr:`replay_stats` reports the replay.
         """
         started = time.perf_counter()
         try:
@@ -288,21 +303,15 @@ class Ledger:
         if not lines:
             raise LedgerCorruptError("empty ledger file (missing header)")
         header = cls._parse_line(lines[0], 1)
-        if header.get("format") != LEDGER_FORMAT:
-            raise LedgerCorruptError(
-                f"unrecognized ledger format {header.get('format')!r}"
-            )
-        if "budget" not in header and "strata" not in header:
-            raise LedgerCorruptError("header pins no budget")
         try:
             ledger = cls(path, header)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise LedgerCorruptError(f"line 1: invalid header ({exc})") from exc
         for lineno, raw in enumerate(lines[1:], start=2):
-            ledger._apply_entry(cls._parse_line(raw, lineno), lineno=lineno)
+            ledger._replay(cls._parse_line(raw, lineno), f"line {lineno}")
         ledger._fh = open(path, "a", encoding="utf-8")
         ledger._replay_stats = ReplayStats(
-            entries=ledger._n_entries,
+            entries=len(ledger._entries),
             file_bytes=file_bytes,
             seconds=time.perf_counter() - started,
         )
@@ -322,20 +331,19 @@ class Ledger:
         Rejection appends nothing and mutates nothing.
         """
         self._require_open()
-        if self._mode != "frequentist":
-            raise LedgerError("propose is a frequentist-mode operation")
         try:
             t = FailureRegionType(t)
         except ValueError as exc:
             raise LedgerError(str(exc)) from exc
-        if not (isinstance(m, (int,)) and not isinstance(m, bool) and m >= 1):
-            raise LedgerError("m must be an integer >= 1")
-        alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise LedgerError("alpha must lie in (0, 1)")
-        state = self._resolve_stratum(stratum)
-        d = delta(state.rho_hat, m, t)
-        projected = state.projected(d, alpha)
+        entry = {
+            "kind": "proposal",
+            "trial_id": str(trial_id),
+            "stratum": stratum,
+            "payload": {"m": m, "t": t.value, "alpha": float(alpha)},
+            "note": None,
+        }
+        state, numbers, apply = self._derive(entry)
+        projected = numbers["projected"]
         if projected > state.budget:
             return ProposeDecision(
                 accepted=False,
@@ -343,23 +351,12 @@ class Ledger:
                 spent=state.projected(),
                 budget=state.budget,
             )
-        entry = {
-            "sequence": self._next_sequence,
-            "kind": "proposal",
-            "trial_id": str(trial_id),
-            "stratum": stratum,
-            "payload": {"m": int(m), "t": t.value, "alpha": alpha},
-            "projected": projected,
-            "timestamp": time.time(),
-            "note": None,
-        }
-        self._commit(entry)
         return ProposeDecision(
             accepted=True,
             projected=projected,
             spent=projected,
             budget=state.budget,
-            sequence=entry["sequence"],
+            sequence=self._commit(entry, numbers, apply),
         )
 
     def record_outcome(self, trial: TrialRecord, model=None) -> OutcomeRecord:
@@ -374,53 +371,7 @@ class Ledger:
         Frequentist mode: outcomes are logged for audit only and carry
         no spend (frequentist spend lives at proposal time).
         """
-        self._require_open()
-        if trial.outcome is None:
-            raise LedgerError(
-                f"trial {trial.trial_id} has no recorded outcome"
-            )
-        state = self._resolve_stratum(trial.stratum)
-        payload = {
-            "outcome": trial.outcome,
-            "m": trial.m,
-            "t": trial.failure_type.value,
-        }
-        try:
-            payload["z"] = [float(z) for z in trial.z_values()]
-        except CannotClassifyError:
-            payload["z"] = None
-        spend_delta = 0.0
-        spent_after = (
-            state.projected()
-            if self._mode == "frequentist"
-            else state.bayes_spent()
-        )
-        if self._mode == "bayes" and trial.outcome == "positive":
-            result = self._freeze(trial, model)
-            payload["z"] = list(result.z_values)
-            payload["h"] = list(result.h_values)
-            spend_delta = trial_contribution(result, self._endpoint_mode)
-            spent_after = state.bayes_spent(spend_delta)
-        entry = {
-            "sequence": self._next_sequence,
-            "kind": "outcome",
-            "trial_id": str(trial.trial_id),
-            "stratum": trial.stratum,
-            "payload": payload,
-            "spend_delta": spend_delta,
-            "spent_after": spent_after,
-            "timestamp": time.time(),
-            "note": None,
-        }
-        self._commit(entry)
-        return OutcomeRecord(
-            sequence=entry["sequence"],
-            kind="outcome",
-            trial_id=str(trial.trial_id),
-            spend_delta=spend_delta,
-            spent=spent_after,
-            budget=state.budget,
-        )
+        return self._record("outcome", trial, model, None)
 
     def record_adjustment(
         self, trial: TrialRecord, model, note: str
@@ -431,41 +382,7 @@ class Ledger:
         an adjustment and requiring an explanatory note.  The adjustment
         fraction reported by ``status`` should stay small.
         """
-        self._require_open()
-        if self._mode != "bayes":
-            raise LedgerError("adjustments are a bayes-mode operation")
-        if not (isinstance(note, str) and note.strip()):
-            raise LedgerError("an adjustment requires a non-empty note")
-        state = self._resolve_stratum(trial.stratum)
-        result = self._freeze(trial, model, require_positive=False)
-        spend_delta = trial_contribution(result, self._endpoint_mode)
-        spent_after = state.bayes_spent(spend_delta)
-        entry = {
-            "sequence": self._next_sequence,
-            "kind": "adjustment",
-            "trial_id": str(trial.trial_id),
-            "stratum": trial.stratum,
-            "payload": {
-                "outcome": trial.outcome,
-                "m": trial.m,
-                "t": trial.failure_type.value,
-                "z": list(result.z_values),
-                "h": list(result.h_values),
-            },
-            "spend_delta": spend_delta,
-            "spent_after": spent_after,
-            "timestamp": time.time(),
-            "note": note,
-        }
-        self._commit(entry)
-        return OutcomeRecord(
-            sequence=entry["sequence"],
-            kind="adjustment",
-            trial_id=str(trial.trial_id),
-            spend_delta=spend_delta,
-            spent=spent_after,
-            budget=state.budget,
-        )
+        return self._record("adjustment", trial, model, note)
 
     def status(self) -> dict:
         """Pure read of budgets, spend, and flags (plus per-stratum view)."""
@@ -473,14 +390,14 @@ class Ledger:
             name: self._stratum_view(state)
             for name, state in self._strata.items()
         }
+        n_entries = len(self._entries)
+        n_adjustments = sum(s.n_adjustments for s in self._strata.values())
         out = {
             "mode": self._mode,
-            "n_entries": self._n_entries,
-            "adjustment_count": self._n_adjustments,
+            "n_entries": n_entries,
+            "adjustment_count": n_adjustments,
             "adjustment_fraction": (
-                self._n_adjustments / self._n_entries
-                if self._n_entries
-                else 0.0
+                n_adjustments / n_entries if n_entries else 0.0
             ),
         }
         if self._stratified:
@@ -597,23 +514,19 @@ class Ledger:
             )
         return view
 
-    def _freeze(
-        self, trial: TrialRecord, model, require_positive: bool = True
-    ) -> PositiveTrialResult:
+    def _freeze(self, trial: TrialRecord, model) -> PositiveTrialResult:
         if model is None:
             raise LedgerError(
                 "bayes mode requires the prior model to freeze h values"
             )
-        if self._model_id is not None and model.model_id != self._model_id:
+        if model.model_id != self._model_id:
             raise LedgerError(
                 f"model {model.model_id} does not match the pinned model "
                 f"{self._model_id}"
             )
         # Adjustments may rescue trials that missed their pre-registered
-        # threshold, so they skip the positive-outcome gate.
-        return positive_result(
-            trial, model, require_positive=require_positive
-        )
+        # threshold, so freezing skips the positive-outcome gate.
+        return positive_result(trial, model, require_positive=False)
 
     def _resolve_stratum(self, stratum) -> _StratumState:
         if self._stratified:
@@ -629,120 +542,164 @@ class Ledger:
         # any stratum label is kept on the entry for audit only.
         return self._strata[None]
 
-    def _apply_entry(self, entry: dict, lineno: int | None = None) -> None:
-        where = (
-            f"line {lineno}"
-            if lineno is not None
-            else f"entry {entry.get('sequence')}"
-        )
-        if entry.get("sequence") != self._next_sequence:
-            raise LedgerCorruptError(
-                f"{where}: sequence {entry.get('sequence')!r} breaks "
-                f"contiguity (expected {self._next_sequence})"
-            )
-        stratum = entry.get("stratum")
-        if self._stratified:
-            if stratum not in self._strata:
-                raise LedgerCorruptError(
-                    f"{where}: unknown stratum {stratum!r}"
-                )
-            state = self._strata[stratum]
-        else:
-            state = self._strata[None]
+    def _derive(self, entry: dict):
+        """The numbers ``entry`` stores, derived from its facts and the
+        running state, without changing anything.
+
+        Returns ``(state, numbers, apply)``: the entry's stratum state;
+        ``{"projected": ...}`` for a proposal, or ``{"spend_delta": ...,
+        "spent_after": ...}`` for an outcome or adjustment; and a
+        function that applies the entry to the state.  An entry that
+        breaks a rule of the ledger raises LedgerError.
+        """
         kind = entry.get("kind")
-        payload = entry.get("payload") or {}
-        try:
-            if kind == "proposal":
-                self._apply_proposal(entry, payload, state, where)
-            elif kind in ("outcome", "adjustment"):
-                self._apply_spendable(entry, payload, state, kind, where)
-            else:
-                raise LedgerCorruptError(
-                    f"{where}: unknown entry kind {kind!r}"
-                )
-        except LedgerCorruptError:
-            raise
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise LedgerCorruptError(f"{where}: malformed entry ({exc})") from exc
-        self._entries.append(entry)
-        self._n_entries += 1
-        self._next_sequence += 1
-
-    def _apply_proposal(self, entry, payload, state, where) -> None:
-        if self._mode != "frequentist":
-            raise LedgerCorruptError(
-                f"{where}: proposal entry in a bayes-mode ledger"
+        payload = entry["payload"]
+        if kind == "proposal":
+            if self._mode != "frequentist":
+                raise LedgerError("propose is a frequentist-mode operation")
+            m, alpha = payload["m"], float(payload["alpha"])
+            if not (isinstance(m, int) and not isinstance(m, bool) and m >= 1):
+                raise LedgerError("m must be an integer >= 1")
+            if not 0.0 < alpha < 1.0:
+                raise LedgerError("alpha must lie in (0, 1)")
+            state = self._resolve_stratum(entry.get("stratum"))
+            d = delta(state.rho_hat, m, FailureRegionType(payload["t"]))
+            return (
+                state,
+                {"projected": state.projected(d, alpha)},
+                lambda: state.accept(d, alpha),
             )
-        d = delta(
-            state.rho_hat, int(payload["m"]), FailureRegionType(payload["t"])
-        )
-        alpha = float(payload["alpha"])
-        projected = state.projected(d, alpha)
-        if projected != entry.get("projected"):
-            raise LedgerCorruptError(
-                f"{where}: stored projected spend {entry.get('projected')!r} "
-                f"does not replay ({projected!r})"
-            )
-        if projected > state.budget:
-            raise LedgerCorruptError(
-                f"{where}: accepted proposal exceeds the budget"
-            )
-        state.accept(d, alpha)
-
-    def _apply_spendable(self, entry, payload, state, kind, where) -> None:
-        spend_delta = entry.get("spend_delta")
         if kind == "adjustment":
             if self._mode != "bayes":
-                raise LedgerCorruptError(
-                    f"{where}: adjustment entry in a frequentist ledger"
-                )
+                raise LedgerError("adjustments are a bayes-mode operation")
             note = entry.get("note")
             if not (isinstance(note, str) and note.strip()):
-                raise LedgerCorruptError(
-                    f"{where}: adjustment entry lacks a note"
-                )
-        spends = kind == "adjustment" or (
-            self._mode == "bayes" and payload.get("outcome") == "positive"
-        )
+                raise LedgerError("an adjustment requires a non-empty note")
+        elif kind != "outcome":
+            raise LedgerError(f"unknown entry kind {kind!r}")
+        elif payload.get("outcome") is None:
+            raise LedgerError(
+                f"trial {entry.get('trial_id')} has no recorded outcome"
+            )
+        state = self._resolve_stratum(entry.get("stratum"))
+        positive = payload.get("outcome") == "positive"
+        spends = kind == "adjustment" or (self._mode == "bayes" and positive)
         if spends:
-            result = PositiveTrialResult(
+            frozen = PositiveTrialResult(
                 trial_id=str(entry.get("trial_id")),
                 m=int(payload["m"]),
                 failure_type=FailureRegionType(payload["t"]),
-                z_values=tuple(float(z) for z in payload["z"]),
-                h_values=tuple(float(h) for h in payload["h"]),
+                z_values=payload["z"],
+                h_values=payload["h"],
                 stratum=entry.get("stratum"),
             )
-            recomputed = trial_contribution(result, self._endpoint_mode)
-            if recomputed != spend_delta:
-                raise LedgerCorruptError(
-                    f"{where}: stored spend delta {spend_delta!r} does not "
-                    f"replay ({recomputed!r})"
-                )
-            if state.bayes_spent(recomputed) != entry.get("spent_after"):
-                raise LedgerCorruptError(
-                    f"{where}: stored cumulative spend does not replay"
-                )
-            state.spend(recomputed)
-        elif spend_delta != 0.0:
-            raise LedgerCorruptError(
-                f"{where}: non-spending entry carries spend "
-                f"{spend_delta!r}"
-            )
-        if kind == "outcome":
-            state.n_outcomes += 1
-            if payload.get("outcome") == "positive":
-                state.n_positive += 1
+            spend_delta = trial_contribution(frozen, self._endpoint_mode)
+            spent_after = state.bayes_spent(spend_delta)
         else:
-            state.n_adjustments += 1
-            self._n_adjustments += 1
+            spend_delta = 0.0
+            spent_after = (
+                state.projected()
+                if self._mode == "frequentist"
+                else state.bayes_spent()
+            )
 
-    def _commit(self, entry: dict) -> None:
-        """Apply a live entry, then append it durably.  An entry that
-        cannot be encoded is refused before either."""
+        def apply() -> None:
+            if spends:
+                state.spend(spend_delta)
+            if kind == "adjustment":
+                state.n_adjustments += 1
+            else:
+                state.n_outcomes += 1
+                state.n_positive += positive
+
+        return (
+            state,
+            {"spend_delta": spend_delta, "spent_after": spent_after},
+            apply,
+        )
+
+    def _record(
+        self, kind: str, trial: TrialRecord, model, note
+    ) -> OutcomeRecord:
+        """Append an outcome or adjustment of ``trial``.  In bayes mode,
+        one that spends first freezes its h values against ``model``:
+        they are facts of the entry, as its z values are."""
+        self._require_open()
+        payload = {
+            "outcome": trial.outcome,
+            "m": trial.m,
+            "t": trial.failure_type.value,
+        }
+        if self._mode == "bayes" and (
+            kind == "adjustment" or trial.outcome == "positive"
+        ):
+            result = self._freeze(trial, model)
+            payload["z"] = list(result.z_values)
+            payload["h"] = list(result.h_values)
+        else:
+            try:
+                payload["z"] = [float(z) for z in trial.z_values()]
+            except CannotClassifyError:
+                payload["z"] = None
+        entry = {
+            "kind": kind,
+            "trial_id": str(trial.trial_id),
+            "stratum": trial.stratum,
+            "payload": payload,
+            "note": note,
+        }
+        state, numbers, apply = self._derive(entry)
+        return OutcomeRecord(
+            sequence=self._commit(entry, numbers, apply),
+            kind=kind,
+            trial_id=entry["trial_id"],
+            spend_delta=numbers["spend_delta"],
+            spent=numbers["spent_after"],
+            budget=state.budget,
+        )
+
+    def _commit(self, entry: dict, numbers: dict, apply) -> int:
+        """Store the derived ``numbers``, the sequence and the time in
+        ``entry``, apply it, and append it durably; returns the sequence.
+        An entry that cannot be encoded is refused before any change."""
+        entry.update(
+            numbers, sequence=len(self._entries) + 1, timestamp=time.time()
+        )
         line = self._encode_line(entry)
-        self._apply_entry(entry)
+        apply()
+        self._entries.append(entry)
         self._write_line(line)
+        return entry["sequence"]
+
+    def _replay(self, entry: dict, where: str) -> None:
+        """Apply a stored entry once its sequence follows on and every
+        number it stores equals the one :meth:`_derive` gives."""
+        expected = len(self._entries) + 1
+        if entry.get("sequence") != expected:
+            raise LedgerCorruptError(
+                f"{where}: sequence {entry.get('sequence')!r} breaks "
+                f"contiguity (expected {expected})"
+            )
+        try:
+            state, numbers, apply = self._derive(entry)
+        except LedgerError as exc:
+            raise LedgerCorruptError(f"{where}: {exc}") from exc
+        except (
+            AttributeError, KeyError, OverflowError, TypeError, ValueError
+        ) as exc:
+            raise LedgerCorruptError(f"{where}: malformed entry ({exc})") from exc
+        for key, value in numbers.items():
+            if entry.get(key) != value:
+                raise LedgerCorruptError(
+                    f"{where}: stored {key} {entry.get(key)!r} does not "
+                    f"replay ({value!r})"
+                )
+        if numbers.get("projected", 0.0) > state.budget:
+            raise LedgerCorruptError(
+                f"{where}: accepted proposal exceeds the budget"
+            )
+        apply()
+        self._entries.append(entry)
 
     def _write_line(self, line: str) -> None:
         self._fh.write(line)
@@ -777,4 +734,3 @@ class Ledger:
         if not isinstance(obj, dict):
             raise LedgerCorruptError(f"line {lineno}: expected a JSON object")
         return obj
-

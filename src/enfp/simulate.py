@@ -286,7 +286,7 @@ def _common_step(gaps) -> float:
 
 
 def rho_from_prior(cfg: ScenarioConfig) -> float:
-    """Oracle null fraction: prior mass at theta <= 0."""
+    """Oracle null fraction: prior mass at theta <= 0 (ZERO_TOLERANCE)."""
     theta, mass = cfg.true_prior
     return math.fsum(p for t, p in zip(theta, mass) if t <= ZERO_TOLERANCE)
 
@@ -397,8 +397,9 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
     n_exceed = _row_counts(z > critical[:, None])
     positive = np.where(is_type_a, n_exceed > 0, n_exceed == m)
 
-    n_beneficial = _row_counts(theta > 0.0)
-    # Failure region truth: A fails when all theta <= 0, B when any is.
+    # Failure region truth: A fails when all theta <= 0, B when any is;
+    # null means theta <= ZERO_TOLERANCE, as for rho and h.
+    n_beneficial = _row_counts(theta > ZERO_TOLERANCE)
     null_truth = np.where(is_type_a, n_beneficial == 0, n_beneficial < m)
 
     return PopulationDraw(
@@ -463,9 +464,9 @@ def oracle_count_fp(population) -> int:
             continue
         theta = np.asarray(theta, dtype=float)
         if record.failure_type is FailureRegionType.A:
-            in_failure = bool(np.all(theta <= 0.0))
+            in_failure = bool(np.all(theta <= ZERO_TOLERANCE))
         else:
-            in_failure = bool(np.any(theta <= 0.0))
+            in_failure = bool(np.any(theta <= ZERO_TOLERANCE))
         count += int(in_failure)
     return count
 
@@ -709,7 +710,7 @@ def _draw_counts(draw: PopulationDraw, bin_width: float) -> dict:
     # Valid endpoint slots as flat indices, and the trial of each.
     slots = np.flatnonzero(draw.valid)
     rows = slots // draw.valid.shape[1]
-    slot_null = draw.theta.ravel()[slots] <= 0.0
+    slot_null = draw.theta.ravel()[slots] <= ZERO_TOLERANCE
     slot_alpha = np.bincount(index[rows] * 2 + slot_null, minlength=2 * k)
     trial_alpha = np.bincount(index * 2 + draw.null_truth, minlength=2 * k)
     single = np.flatnonzero(draw.m == 1)

@@ -458,6 +458,19 @@ class TestBounds:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("alphas", ["0.025,-1", "0.025,1.5", "0,0.05"])
+    def test_freq_alpha_outside_unit_interval_is_data_error(
+        self, capsys, alphas
+    ):
+        code, out, err = run(
+            capsys, "bounds", "--mode", "freq", "--rho", "0.1",
+            "--alphas", alphas,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("enfp: error: alpha must")
+        assert len(err.splitlines()) == 1
+
     def test_bayes_matches_library(self, capsys, tmp_path):
         model, model_path = two_point_model(tmp_path)
         trials = [

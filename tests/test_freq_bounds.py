@@ -69,6 +69,21 @@ class TestTauHatSingle:
         with pytest.raises(ValueError, match="finite"):
             tau_hat_single(0.1, [0.025, bad])
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, 1.0, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            tau_hat_single(0.1, [0.025, bad])
+
+    def test_bit_identical_to_mixed_over_1b_designs(self):
+        # rho * fsum(alphas) rounds to 0.0085 here, one ulp below the
+        # product of sums that tau_hat_mixed and the ledger use.
+        rho, alphas = 0.1, [0.01, 0.025, 0.05]
+        mixed = tau_hat_mixed(
+            FreqBoundInput(rho_hat=rho, trials=tuple((1, B, a) for a in alphas))
+        )
+        assert rho * math.fsum(alphas) != mixed
+        assert tau_hat_single(rho, alphas) == mixed
+
 
 class TestTauHatMixed:
     def test_hand_evaluation(self):
@@ -96,7 +111,7 @@ class TestTauHatMixed:
                     trials=tuple((1, B, a) for a in alphas),
                 )
             )
-            assert abs(mixed - tau_hat_single(rho, alphas)) <= 1e-12
+            assert mixed == tau_hat_single(rho, alphas)
 
     def test_empty_is_vacuous(self):
         assert tau_hat_mixed(FreqBoundInput(rho_hat=0.3, trials=())) == 0.0

@@ -1,7 +1,10 @@
 """Tests for the persistent error-spending ledger."""
 
+import importlib.util
 import json
 import math
+import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import enfp.ledger
 from enfp.bayes_bounds import omega_hat, positive_result
 from enfp.deconv import PriorModel
 from enfp.freq_bounds import FreqBoundInput, tau_hat_mixed
@@ -456,6 +460,29 @@ class TestCorruption:
             Ledger.open(path)
 
 
+class TestStoredNumbers:
+    def test_tampered_spent_after_of_non_spending_entries(self, tmp_path):
+        # A negative Bayesian outcome and a frequentist outcome store a
+        # spent_after but no spend; replay checks that number too.
+        model = small_model()
+        bayes = tmp_path / "b.jsonl"
+        with Ledger.create(bayes, "bayes", budget=1.0, model=model) as led:
+            led.record_outcome(make_trial("p1", [2.5]), model)
+            led.record_outcome(make_trial("n1", [1.2], outcome="negative"))
+        freq = tmp_path / "f.jsonl"
+        with Ledger.create(
+            freq, "frequentist", budget=1.0, rho_hat=0.09
+        ) as led:
+            led.propose("t1", 1, B, 0.025)
+            led.record_outcome(make_trial("t1", [2.4]))
+        for path, spent_after in ((bayes, 123.0), (freq, -5.0)):
+            _rewrite_line(
+                path, 2, lambda entry: entry.update(spent_after=spent_after)
+            )
+            with pytest.raises(LedgerCorruptError, match="spent_after"):
+                Ledger.open(path)
+
+
 class TestStrata:
     def test_independent_budgets(self, tmp_path):
         # Binary-exact rho/alpha so the sub-budget boundary is sharp.
@@ -538,6 +565,37 @@ class TestGoldenReplay:
         with Ledger.open(GOLDEN / f"{name}.jsonl") as led:
             assert _as_json(led.status()) == expected["status"]
             assert _as_json(led.running_sums()) == expected["running_sums"]
+
+
+def _golden_writer():
+    spec = importlib.util.spec_from_file_location(
+        "make_golden_ledgers", GOLDEN / "make_golden_ledgers.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGoldenWrite:
+    """The live operations write the golden files byte for byte, given
+    the clock readings stored in them: one per committed line, none for
+    a rejected proposal."""
+
+    @pytest.mark.parametrize("name", ["freq", "bayes"])
+    def test_live_write_is_byte_identical(self, tmp_path, monkeypatch, name):
+        golden = GOLDEN / f"golden_{name}.jsonl"
+        lines = golden.read_text(encoding="utf-8").splitlines()
+        stored = [json.loads(raw) for raw in lines]
+        stamps = iter(
+            [stored[0]["created"]] + [e["timestamp"] for e in stored[1:]]
+        )
+        clock = types.SimpleNamespace(
+            time=lambda: next(stamps), perf_counter=time.perf_counter
+        )
+        monkeypatch.setattr(enfp.ledger, "time", clock)
+        getattr(_golden_writer(), f"write_{name}")(tmp_path)
+        assert (tmp_path / golden.name).read_bytes() == golden.read_bytes()
+        assert next(stamps, None) is None
 
 
 # Positive floats from subnormals to 1e3, with values that repeat.
@@ -631,6 +689,13 @@ class TestNonFinite:
             ("rho_hat", 1.5),
             ("rho_hat", None),
             ("rho_hat", 0.0),
+            # A bogus mode would log positives at zero spend, and a bogus
+            # endpoint mode fail at the first positive.
+            ("mode", "bogus"),
+            ("endpoint_mode", "bogus"),
+            # A Bayesian header without a model_id would take outcomes
+            # under any model.
+            ("mode", "bayes"),
         ],
     )
     def test_open_validates_header(self, tmp_path, key, value):

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from enfp.bayes_bounds import omega_hat, positive_result
 from enfp.freq_bounds import FreqBoundInput, tau_hat_mixed
+from enfp.hcurve import h_values
 from enfp.simulate import (
     _EQ_SLACK,
     BinnedCheck,
@@ -232,6 +233,26 @@ class TestOracleCount:
         cfg = mixed_scenario(n_trials=800)
         draw = draw_population(cfg)
         assert oracle_count_fp(draw) == oracle_count_fp(draw.to_records())
+
+    def test_null_threshold_is_zero_tolerance(self):
+        # theta = 5e-13 is within ZERO_TOLERANCE of 0: rho counts it as
+        # null and the oracle's h is 0 there, so the truth the oracle
+        # counts against must call every positive a false positive.
+        cfg = ScenarioConfig(
+            true_prior=((-1.0, 5e-13), (0.5, 0.5)),
+            n_trials=400,
+            m_distribution=((1, B, 0.5), (2, A, 0.25), (2, B, 0.25)),
+            policy=fixed_policy(0.05),
+            seed=7,
+        )
+        assert rho_from_prior(cfg) == 1.0
+        z = np.array([-2.0, 0.0, 3.0, 8.0])
+        assert not h_values(cfg.prior_model(), z).any()
+        draw = draw_population(cfg)
+        n_positive = int(draw.positive.sum())
+        assert n_positive > 0 and draw.null_truth.all()
+        assert oracle_count_fp(draw) == n_positive
+        assert oracle_count_fp(draw.to_records()) == n_positive
 
 
 class TestConcordance:
