@@ -385,22 +385,17 @@ def _bounds_freq(args) -> int:
 def _bounds_bayes(args) -> int:
     from enfp.bayes_bounds import omega_hat, positive_result
     from enfp.records_io import load_records
-    from enfp.trials import classify_rejection
 
     if args.model is None or args.records is None:
         raise DataError("bayes bounds require --model and --records")
     model = _load_model(args.model)
     records = load_records(args.records, fmt=args.format)
-    positives = []
-    n_skipped = 0
-    for trial in records:
-        if trial.outcome is None:
-            if not trial.fully_observed:
-                n_skipped += 1
-                continue
-            trial = trial.with_outcome(classify_rejection(trial, model))
-        if trial.outcome == "positive":
-            positives.append(positive_result(trial, model))
+    trials, n_skipped = _classified(records, model)
+    positives = [
+        positive_result(trial, model)
+        for trial in trials
+        if trial.outcome == "positive"
+    ]
     labels = sorted({r.stratum for r in positives if r.stratum is not None})
     if labels:
         for name in labels:
@@ -415,9 +410,29 @@ def _bounds_bayes(args) -> int:
         f"omega_hat = {_sig(total)} "
         f"({len(positives)} positives of {len(records)} trials)"
     )
+    _print_skipped(n_skipped)
+    return EXIT_OK
+
+
+def _classified(records, model):
+    """The records with an outcome, each one that has none classified by
+    its own policy, and the number of censored records skipped because
+    they have no outcome and cannot be classified."""
+    from enfp.trials import classify_rejection
+
+    trials = []
+    for trial in records:
+        if trial.outcome is None:
+            if not trial.fully_observed:
+                continue
+            trial = trial.with_outcome(classify_rejection(trial, model))
+        trials.append(trial)
+    return trials, len(records) - len(trials)
+
+
+def _print_skipped(n_skipped: int) -> None:
     if n_skipped:
         print(f"skipped {n_skipped} censored trials without outcomes")
-    return EXIT_OK
 
 
 def _bounds_from_ledger(args) -> int:
@@ -526,23 +541,15 @@ def _cmd_ledger_propose(args) -> int:
     return EXIT_OK
 
 
-def _classified(trial, model):
-    from enfp.trials import classify_rejection
-
-    if trial.outcome is None and trial.fully_observed:
-        return trial.with_outcome(classify_rejection(trial, model))
-    return trial
-
-
 def _cmd_ledger_record(args) -> int:
     from enfp.ledger import Ledger
     from enfp.records_io import load_records
 
     records = load_records(args.records, fmt=args.format)
     model = _load_model(args.model) if args.model else None
+    trials, n_skipped = _classified(records, model)
     with Ledger.open(args.path) as led:
-        for trial in records:
-            trial = _classified(trial, model)
+        for trial in trials:
             rec = led.record_outcome(trial, model=model)
             line = (
                 f"{trial.trial_id}: {trial.outcome}, spend "
@@ -552,6 +559,7 @@ def _cmd_ledger_record(args) -> int:
             if rec.over_budget:
                 line += f"  {_red('OVER BUDGET')}"
             print(line)
+    _print_skipped(n_skipped)
     return EXIT_OK
 
 

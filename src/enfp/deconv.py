@@ -169,8 +169,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class PriorModel:
-    """A discrete prior over a uniform theta grid, with fit provenance.
+    """A discrete prior: its support, a strictly ascending theta grid,
+    and the mass at each point, with fit provenance.
 
+    A fit lays the grid out uniformly (``FitConfig``); any other
+    ascending grid, such as a simulator's own support, is equally valid.
     Masses are nonnegative and sum to one (renormalized exactly at
     construction).  ``log_likelihood`` is the unpenalized value at the
     optimum when the model came from a fit; ``coefficients`` are the
@@ -192,12 +195,10 @@ class PriorModel:
         masses = np.asarray(self.masses, dtype=float).ravel()
         if theta.size < 1 or theta.shape != masses.shape:
             raise ValueError("theta_grid and masses must be congruent")
-        if theta.size > 1:
-            steps = np.diff(theta)
-            if np.any(steps <= 0):
-                raise ValueError("theta_grid must be strictly ascending")
-            if np.max(steps) - np.min(steps) > 1e-12:
-                raise ValueError("theta_grid spacing must be uniform")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta_grid must be finite")
+        if np.any(np.diff(theta) <= 0):
+            raise ValueError("theta_grid must be strictly ascending")
         if np.any(masses < 0):
             raise ValueError("masses must be nonnegative")
         total = masses.sum()
@@ -220,8 +221,8 @@ class PriorModel:
     def from_masses(cls, theta_points, masses) -> "PriorModel":
         """Build a model directly from grid points and masses.
 
-        Points must be ascending with uniform spacing; masses are
-        normalized to sum to one.
+        Points must be strictly ascending; masses are normalized to sum
+        to one.
         """
         masses = np.asarray(masses, dtype=float)
         return cls(

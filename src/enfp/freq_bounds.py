@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,23 +86,16 @@ class FreqBoundInput:
     Args:
         rho_hat: estimated probability that an efficacy measure is null.
         trials: per-trial (m, t, alpha) specs.
-        strata: optional per-trial stratum labels (same length).
     """
 
     rho_hat: float
     trials: Tuple[TrialSpec, ...]
-    strata: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho_hat <= 1.0:
             raise ValueError("rho_hat must lie in [0, 1]")
         trials = tuple(_as_spec(t) for t in self.trials)
         object.__setattr__(self, "trials", trials)
-        if self.strata is not None:
-            strata = tuple(str(s) for s in self.strata)
-            if len(strata) != len(trials):
-                raise ValueError("strata must parallel trials")
-            object.__setattr__(self, "strata", strata)
 
 
 def delta(rho: float, m: int, t: FailureRegionType) -> float:

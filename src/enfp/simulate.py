@@ -39,12 +39,14 @@ import numpy as np
 from enfp.bayes_bounds import _check_endpoint_mode, _omega_from_arrays
 from enfp.freq_bounds import _SUM_EXP, _exact, _read, _tau_from_arrays
 from enfp.hcurve import ZERO_TOLERANCE, h_values
-from enfp.special import norm_ppf
 from enfp.trials import (
     EfficacyMeasure,
     FailureRegionType,
     RejectionPolicy,
     TrialRecord,
+    _critical_z,
+    _in_failure_region,
+    _rejects,
 )
 
 __all__ = [
@@ -197,31 +199,11 @@ class ScenarioConfig:
             raise ValueError("policy must be a PolicySpec")
 
     def prior_model(self):
-        """The true prior as a PriorModel (for oracle-mode h values).
-
-        PriorModel grids are uniform, so the support points are embedded
-        into the coarsest uniform grid containing them (zero mass
-        elsewhere).  Support that fits no uniform grid is an error; pass
-        an explicit model to validate_bounds in that case.
-        """
+        """The true prior as a PriorModel (for oracle-mode h values): its
+        support is the model's grid and its masses the model's masses."""
         from enfp.deconv import PriorModel
 
-        theta = np.asarray(self.true_prior[0])
-        mass = np.asarray(self.true_prior[1])
-        if theta.size == 1:
-            return PriorModel.from_masses(theta, mass)
-        step = _common_step(np.diff(theta))
-        offsets = (theta - theta[0]) / step
-        if step <= 0 or np.max(np.abs(offsets - np.round(offsets))) > 1e-6:
-            raise ValueError(
-                "prior support does not embed in a uniform grid; supply "
-                "model_for_bound explicitly"
-            )
-        n_steps = int(round((theta[-1] - theta[0]) / step))
-        grid = theta[0] + step * np.arange(n_steps + 1)
-        masses = np.zeros(grid.size)
-        masses[np.round(offsets).astype(int)] = mass
-        return PriorModel.from_masses(grid, masses)
+        return PriorModel.from_masses(*self.true_prior)
 
     def to_dict(self) -> dict:
         return {
@@ -266,25 +248,6 @@ class ScenarioConfig:
         return cls.from_dict(json.loads(text))
 
 
-def _common_step(gaps) -> float:
-    """Float GCD of positive gaps.
-
-    Euclidean algorithm with remainder folding: gcd(b, r) = gcd(b, b-r),
-    so replacing r by min(r, b-r) preserves the result while absorbing
-    representation error that lands a near-multiple's remainder at ~b
-    instead of ~0.
-    """
-    tol = 1e-9 * float(np.max(gaps))
-    step = 0.0
-    for gap in gaps:
-        a, b = float(gap), step
-        while b > tol:
-            r = math.fmod(a, b)
-            a, b = b, min(r, b - r)
-        step = a
-    return step
-
-
 def rho_from_prior(cfg: ScenarioConfig) -> float:
     """Oracle null fraction: prior mass at theta <= 0 (ZERO_TOLERANCE)."""
     theta, mass = cfg.true_prior
@@ -296,10 +259,10 @@ class PopulationDraw:
     """One replicate of a simulated population, as padded arrays.
 
     Arrays are (n,) per trial or (n, m_max) per endpoint slot; slots past
-    a trial's m are NaN (floats) / False (masks).  ``positive`` applies
-    the per-trial policy exactly as the trial-model classifier does:
-    type A rejects when any endpoint exceeds Phi^-1(1 - alpha/m), type B
-    when every endpoint exceeds Phi^-1(1 - alpha).
+    a trial's m are NaN (floats) / False (masks).  ``positive`` and
+    ``null_truth`` come from the rules in ``enfp.trials`` that the
+    trial-model classifier uses: each trial's policy is
+    ``RejectionPolicy.at_alpha`` of its alpha.
     """
 
     replicate: int
@@ -309,18 +272,12 @@ class PopulationDraw:
     z: np.ndarray
     valid: np.ndarray
     alpha: np.ndarray
-    critical_z: np.ndarray
     positive: np.ndarray
     null_truth: np.ndarray
-    signal: np.ndarray | None = None
 
     @property
     def n_trials(self) -> int:
         return int(self.m.size)
-
-    @property
-    def m_max(self) -> int:
-        return int(self.theta.shape[1])
 
     def to_records(self) -> list:
         """Materialize (TrialRecord, true theta tuple) pairs.
@@ -386,21 +343,17 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
     theta = np.where(valid, theta, np.nan)
     z = np.where(valid, z, np.nan)
 
-    menu, menu_index, signal = _policy_alphas(rng, cfg.policy, theta, valid, m)
+    menu, menu_index = _policy_alphas(rng, cfg.policy, theta, valid, m)
     alpha = menu[menu_index]
 
-    # One critical value per (design, menu entry): type A at alpha/m,
-    # type B at alpha.  Padded slots hold NaN, which compares False.
-    critical = norm_ppf(
-        np.where(a_flags[:, None], 1.0 - menu / ms[:, None], 1.0 - menu)
-    )[which, menu_index]
-    n_exceed = _row_counts(z > critical[:, None])
-    positive = np.where(is_type_a, n_exceed > 0, n_exceed == m)
-
-    # Failure region truth: A fails when all theta <= 0, B when any is;
-    # null means theta <= ZERO_TOLERANCE, as for rho and h.
-    n_beneficial = _row_counts(theta > ZERO_TOLERANCE)
-    null_truth = np.where(is_type_a, n_beneficial == 0, n_beneficial < m)
+    # One critical value per (design, menu entry).  Padded slots hold
+    # NaN, which compares False, so they neither exceed nor count as
+    # null; null means theta <= ZERO_TOLERANCE, as for rho and h.
+    critical = _critical_z(menu, ms[:, None], a_flags[:, None])
+    n_exceed = _row_counts(z > critical[which, menu_index][:, None])
+    positive = _rejects(n_exceed, m, is_type_a)
+    n_null = _row_counts(theta <= ZERO_TOLERANCE)
+    null_truth = _in_failure_region(n_null, m, is_type_a)
 
     return PopulationDraw(
         replicate=int(replicate),
@@ -410,10 +363,8 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
         z=z,
         valid=valid,
         alpha=alpha,
-        critical_z=critical,
         positive=positive,
         null_truth=null_truth,
-        signal=signal,
     )
 
 
@@ -428,25 +379,24 @@ def _row_counts(mask):
 
 
 def _policy_alphas(rng, policy: PolicySpec, theta, valid, m):
-    """The sorted menu, each trial's index into it, and the signal (None
-    for ``fixed_alpha``)."""
+    """The sorted menu and each trial's index into it."""
     menu = np.sort(np.asarray(policy.alpha_menu))
     k = menu.size
     n = m.size
     if policy.kind == "fixed_alpha":
         if k == 1:
-            return menu, np.zeros(n, dtype=np.int64), None
-        return menu, rng.integers(0, k, size=n), None
+            return menu, np.zeros(n, dtype=np.int64)
+        return menu, rng.integers(0, k, size=n)
     signal = np.where(valid, theta, 0.0).sum(axis=1) / m + (
         policy.signal_noise * rng.standard_normal(n)
     )
     if k == 1:
-        return menu, np.zeros(n, dtype=np.int64), signal
+        return menu, np.zeros(n, dtype=np.int64)
     edges = np.quantile(signal, np.arange(1, k) / k)
     bins = np.searchsorted(edges, signal, side="right")
     if policy.kind == "signal_concordant":
-        return menu, bins, signal
-    return menu, k - 1 - bins, signal  # adversarial: stringent when strong
+        return menu, bins
+    return menu, k - 1 - bins  # adversarial: stringent when strong
 
 
 def simulate_population(cfg: ScenarioConfig, replicate: int = 0) -> list:
@@ -460,14 +410,10 @@ def oracle_count_fp(population) -> int:
         return int(np.count_nonzero(population.positive & population.null_truth))
     count = 0
     for record, theta in population:
-        if record.outcome != "positive":
-            continue
-        theta = np.asarray(theta, dtype=float)
-        if record.failure_type is FailureRegionType.A:
-            in_failure = bool(np.all(theta <= ZERO_TOLERANCE))
-        else:
-            in_failure = bool(np.any(theta <= ZERO_TOLERANCE))
-        count += int(in_failure)
+        if record.outcome == "positive":
+            n_null = sum(t <= ZERO_TOLERANCE for t in theta)
+            is_type_a = record.failure_type is FailureRegionType.A
+            count += _in_failure_region(n_null, record.m, is_type_a)
     return count
 
 
@@ -888,7 +834,7 @@ def validate_bounds(
     else:
         rho = float(rho_for_bound)
         if not 0.0 <= rho <= 1.0:
-            raise ValueError(f"rho_for_bound must lie in [0, 1], got {rho}")
+            raise ValueError(f"rho must lie in [0, 1], got {rho}")
     _check_endpoint_mode(endpoint_mode)
     model = cfg.prior_model() if model_for_bound is None else model_for_bound
     fps = np.empty(cfg.replicates)

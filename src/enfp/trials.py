@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from enfp.special import norm_cdf, norm_ppf
 
 
@@ -45,6 +47,32 @@ class FailureRegionType(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# The rules that tell the two types apart, each written once.  Each takes
+# per-trial numbers and runs on scalars or elementwise on arrays.
+
+
+def _critical_z(alpha, m, is_type_a):
+    """Per-endpoint critical z of a trial-level one-sided alpha: the
+    normal quantile at 1 - alpha / m for type A, at 1 - alpha for type B
+    (see ``RejectionPolicy.at_alpha``)."""
+    return norm_ppf(1.0 - np.where(is_type_a, alpha / m, alpha))
+
+
+def _rejects(n_exceed, m, is_type_a):
+    """Whether a trial rejects, from how many of its m endpoints exceed
+    their critical values: type A when any one does, type B only when
+    all m do.  The count needed, 1 or m, is written as arithmetic so
+    that the rule costs no array call on a single trial."""
+    return n_exceed >= m - is_type_a * (m - 1)
+
+
+def _in_failure_region(n_null, m, is_type_a):
+    """Whether a trial's true effects lie in its failure region, from
+    how many of its m endpoints are null: type A when all m are, type B
+    when any one is."""
+    return n_null >= 1 + is_type_a * (m - 1)
 
 
 @dataclass(frozen=True)
@@ -191,8 +219,8 @@ class RejectionPolicy:
             raise DomainError("alpha must lie in (0, 1)")
         if m < 1:
             raise ValueError("m must be >= 1")
-        per = alpha / m if failure_type is FailureRegionType.A else alpha
-        crit = float(norm_ppf(1.0 - per))
+        is_type_a = failure_type is FailureRegionType.A
+        crit = float(_critical_z(alpha, m, is_type_a))
         return cls(
             mode="alpha_level",
             per_endpoint_critical_z=(crit,) * m,
@@ -320,13 +348,11 @@ def z_to_p(z: float) -> float:
 def classify_rejection(trial: TrialRecord, model=None) -> str:
     """Classify a fully observed trial as positive or negative.
 
-    Type A (intersection null) rejects when ANY endpoint's z exceeds its
-    critical value; type B (union null) rejects only when EVERY endpoint
-    exceeds its critical value (an intersection-union test).
-
-    For an h_threshold policy the critical value is derived from the
-    fitted prior: the smallest z whose h-probability reaches the policy
-    floor.  ``model`` must then be supplied.
+    An endpoint exceeds when its z is above its critical value or, for
+    an h_threshold policy, when its h-probability under ``model`` reaches
+    the policy floor.  Type A (intersection null) then rejects when ANY
+    endpoint exceeds; type B (union null) only when EVERY endpoint does
+    (an intersection-union test).
 
     Args:
         trial: the trial to classify; all endpoints must be observed.
@@ -345,14 +371,12 @@ def classify_rejection(trial: TrialRecord, model=None) -> str:
             raise ValueError(
                 "h_threshold policy requires a PriorModel to classify"
             )
-        from enfp.hcurve import z_for_h
+        from enfp.hcurve import h_values
 
-        crit = z_for_h(model, trial.policy.h_floor)
-        criticals = (crit,) * trial.m
+        h = h_values(model, np.array(zs))
+        n_exceed = int(np.count_nonzero(h >= trial.policy.h_floor))
     else:
         criticals = trial.policy.per_endpoint_critical_z
-
-    exceed = [z > c for z, c in zip(zs, criticals)]
-    if trial.failure_type is FailureRegionType.A:
-        return "positive" if any(exceed) else "negative"
-    return "positive" if all(exceed) else "negative"
+        n_exceed = sum([z > c for z, c in zip(zs, criticals)])
+    is_type_a = trial.failure_type is FailureRegionType.A
+    return "positive" if _rejects(n_exceed, trial.m, is_type_a) else "negative"

@@ -528,6 +528,30 @@ class TestBounds:
 
 
 class TestLedgerCli:
+    def test_record_skips_censored_trials_without_outcomes(
+        self, capsys, tmp_path
+    ):
+        # The README corpus: 1221 exact trials are classified and
+        # recorded, the 172 censored ones are skipped and counted.
+        corpus, path = tmp_path / "corpus.csv", tmp_path / "budget.jsonl"
+        code, _, _ = run(capsys, "synth", "--out", str(corpus), "--seed", "7")
+        assert code == 0
+        code, _, _ = run(
+            capsys, "ledger", "init", str(path), "--mode", "freq",
+            "--budget", "1.0", "--rho", "0.09",
+        )
+        assert code == 0
+        code, out, err = run(
+            capsys, "ledger", "record", str(path), "--records", str(corpus)
+        )
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 1222
+        assert lines[-1] == "skipped 172 censored trials without outcomes"
+        with Ledger.open(path) as led:
+            assert led.status()["n_entries"] == 1221
+
     def test_init_prints_capacity(self, capsys, tmp_path):
         path = tmp_path / "led.jsonl"
         code, out, _ = run(
@@ -1003,7 +1027,7 @@ class TestSimulateCli:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("enfp: error: rho_for_bound")
+        assert err.startswith("enfp: error: rho must lie in [0, 1], got ")
 
     def test_missing_scenario_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", str(tmp_path / "nope.json"))

@@ -252,9 +252,23 @@ class TestPriorModelSerialization:
         with pytest.raises(ValueError):
             PriorModel.from_json(str(path))
 
+    def test_any_ascending_grid_loads(self, tmp_path):
+        model = PriorModel.from_masses([-1.0, 0.3, 2.71828], [0.2, 0.3, 0.5])
+        path = tmp_path / "model.json"
+        model.to_json(str(path))
+        loaded = PriorModel.from_json(str(path))
+        assert loaded.theta_grid.tolist() == [-1.0, 0.3, 2.71828]
+        assert loaded.model_id == model.model_id
+
     def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            PriorModel.from_masses([0.0, 1.0, 3.0], [0.3, 0.3, 0.4])
+        for grid in (
+            [0.0, 3.0, 1.0],
+            [0.0, 1.0, 1.0],
+            [0.0, 1.0, math.nan],
+            [-math.inf, 0.0, 1.0],
+        ):
+            with pytest.raises(ValueError):
+                PriorModel.from_masses(grid, [0.3, 0.3, 0.4])
         with pytest.raises(ValueError):
             PriorModel(
                 theta_grid=np.array([0.0, 1.0]),

@@ -218,14 +218,6 @@ class TestInputValidation:
         spec = TrialSpec(m=2, t="A", alpha=0.05)
         assert spec.t is A
 
-    def test_strata_must_parallel_trials(self):
-        with pytest.raises(ValueError):
-            FreqBoundInput(
-                rho_hat=0.1,
-                trials=((1, B, 0.05),),
-                strata=("a", "b"),
-            )
-
 
 # Floats of both signs from subnormals to 1e3, with values that repeat.
 MAGNITUDES = st.one_of(

@@ -88,7 +88,6 @@ class TestHProbability:
             w = float(rng.uniform(0.05, 0.95))
             tn = float(rng.uniform(-4.0, 0.0))
             tp = float(rng.uniform(0.5, 5.0))
-            # from_masses needs uniform spacing; two points always are.
             model = two_point(w, tn, tp)
             zs = rng.uniform(-8, 8, size=40)
             expected = closed_form_h(zs, w, tn, tp)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from enfp.bayes_bounds import omega_hat, positive_result
+from enfp.deconv import PriorModel
 from enfp.freq_bounds import FreqBoundInput, tau_hat_mixed
 from enfp.hcurve import h_values
 from enfp.simulate import (
@@ -181,6 +182,29 @@ class TestDrawShape:
         records = simulate_population(mixed_scenario(n_trials=400))
         for record, _theta in records:
             assert classify_rejection(record) == record.outcome
+
+
+class TestOraclePrior:
+    def test_irregular_support_validates(self):
+        theta, mass = (-1.0, 0.3, 2.71828), (0.2, 0.3, 0.5)
+        cfg = mixed_scenario(
+            true_prior=(theta, mass), n_trials=2000, replicates=2
+        )
+        explicit = PriorModel.from_masses(theta, mass)
+        z = np.linspace(-6.0, 10.0, 1601)
+        assert np.array_equal(
+            h_values(cfg.prior_model(), z), h_values(explicit, z)
+        )
+        report = validate_bounds(cfg)
+        assert report.model_id == explicit.model_id
+        given = validate_bounds(cfg, model_for_bound=explicit)
+        assert json.dumps(report.to_dict()) == json.dumps(given.to_dict())
+
+    def test_model_grid_is_the_support(self):
+        cfg = mixed_scenario(true_prior=((0.0, 1e-4, 3.0), (0.3, 0.3, 0.4)))
+        model = cfg.prior_model()
+        assert model.theta_grid.tolist() == [0.0, 1e-4, 3.0]
+        assert model.masses.tolist() == [0.3, 0.3, 0.4]
 
 
 class TestOracleCount:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from enfp.deconv import PriorModel
+from enfp.hcurve import h_values
 from enfp.trials import (
     CannotClassifyError,
     DomainError,
@@ -12,11 +14,17 @@ from enfp.trials import (
     InvalidScaleError,
     RejectionPolicy,
     TrialRecord,
+    _critical_z,
+    _in_failure_region,
+    _rejects,
     classify_rejection,
     p_to_z,
     standardize,
     z_to_p,
 )
+
+A = FailureRegionType.A
+B = FailureRegionType.B
 
 
 def _single_trial(z, critical, trial_id="t1"):
@@ -198,6 +206,100 @@ class TestClassifyRejection:
             after = outcome(weakened)
             if base == "positive":
                 assert after == "positive"
+
+
+def _h_trial(zs, failure_type, h_floor):
+    return TrialRecord(
+        trial_id="h1",
+        m=len(zs),
+        failure_type=failure_type,
+        measures=tuple(
+            EfficacyMeasure(endpoint_index=j + 1, z=float(z))
+            for j, z in enumerate(zs)
+        ),
+        policy=RejectionPolicy.at_h_floor(h_floor),
+    )
+
+
+class TestClassifyHThreshold:
+    MODEL = PriorModel.from_masses(
+        [-1.5, 0.0, 1.5, 3.0], [0.3, 0.2, 0.3, 0.2]
+    )
+
+    @pytest.mark.parametrize("h_floor", [0.5, 0.9, 0.975])
+    def test_single_endpoint_reads_h(self, h_floor):
+        zs = np.linspace(-4.0, 8.0, 241)
+        expected = [
+            "positive" if h >= h_floor else "negative"
+            for h in h_values(self.MODEL, zs)
+        ]
+        got = [
+            classify_rejection(_h_trial((z,), B, h_floor), self.MODEL)
+            for z in zs
+        ]
+        assert got == expected
+        assert "positive" in got and "negative" in got
+
+    def test_multi_endpoint_follows_the_type(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            zs = rng.uniform(-2.0, 6.0, size=int(rng.integers(2, 4)))
+            exceed = h_values(self.MODEL, zs) >= 0.9
+            for failure_type, rule in ((A, any), (B, all)):
+                got = classify_rejection(
+                    _h_trial(zs, failure_type, 0.9), self.MODEL
+                )
+                assert got == ("positive" if rule(exceed) else "negative")
+
+    def test_all_positive_prior_clears_any_floor(self):
+        model = PriorModel.from_masses([0.5, 2.0], [0.5, 0.5])
+        trial = _h_trial((-5.0, -5.0), B, 0.999)
+        assert classify_rejection(trial, model) == "positive"
+
+    def test_all_null_prior_clears_no_floor(self):
+        model = PriorModel.from_masses([-1.0, 0.0], [0.5, 0.5])
+        trial = _h_trial((9.0, 9.0), A, 0.001)
+        assert classify_rejection(trial, model) == "negative"
+
+    def test_model_required(self):
+        with pytest.raises(ValueError, match="requires a PriorModel"):
+            classify_rejection(_h_trial((2.0,), B, 0.9))
+
+
+class TestTypeRules:
+    # Per trial: how many of its m endpoints exceed (or are null).
+    COUNT = np.array([1, 1, 2, 0, 2])
+    M = np.array([1, 2, 2, 3, 3])
+
+    def check(self, rule, type_a, type_b):
+        for is_type_a, expected in ((True, type_a), (False, type_b)):
+            flags = np.full(self.M.size, is_type_a)
+            assert rule(self.COUNT, self.M, flags).tolist() == expected
+            scalars = zip(self.COUNT.tolist(), self.M.tolist())
+            assert [rule(n, m, is_type_a) for n, m in scalars] == expected
+
+    def test_rejects_any_for_a_every_for_b(self):
+        self.check(
+            _rejects,
+            type_a=[True, True, True, False, True],
+            type_b=[True, False, True, False, False],
+        )
+
+    def test_failure_region_every_for_a_any_for_b(self):
+        self.check(
+            _in_failure_region,
+            type_a=[True, False, True, False, False],
+            type_b=[True, True, True, False, True],
+        )
+
+    def test_critical_z_is_the_policy_table(self):
+        alphas = np.array([0.001, 0.025, 0.3])
+        for m in (1, 2, 5):
+            for t in (A, B):
+                table = _critical_z(alphas, m, t is A)
+                for alpha, crit in zip(alphas, table):
+                    policy = RejectionPolicy.at_alpha(float(alpha), m, t)
+                    assert policy.per_endpoint_critical_z == (crit,) * m
 
 
 class TestDomainTypes:
