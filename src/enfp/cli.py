@@ -28,21 +28,17 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 if TYPE_CHECKING:
     from enfp.deconv import FitConfig, PriorModel
 
 # Each command imports the enfp modules it runs at its top, so a process
-# loads only what its subcommand needs.
+# loads only what its subcommand needs: `--help`, `bounds --alphas` and
+# the frequentist `ledger` commands load no numpy.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NOCONV = 3
-
-# z grid on which `fit --bootstrap` stores h-curve percentile bands.
-_BAND_GRID = np.arange(-40, 101) * 0.1
 
 
 class UsageError(Exception):
@@ -244,8 +240,10 @@ def _cmd_fit(args) -> int:
     print(f"rho_hat = {_sig(rho_from_g(model))}")
     print(f"log_likelihood = {_sig(model.log_likelihood)}")
     if args.bootstrap:
+        # The z grid -4, -3.9, ..., 10 on which the model stores h bands.
+        band_grid = [k * 0.1 for k in range(-40, 101)]
         boot = bootstrap(
-            obs, cfg, replicates=args.bootstrap, z_grid=_BAND_GRID
+            obs, cfg, replicates=args.bootstrap, z_grid=band_grid
         )
         lo, hi = boot.rho_ci
         print(
@@ -268,7 +266,9 @@ def _cmd_fit(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _band_arrays(model: PriorModel, grid: np.ndarray):
+def _band_arrays(model: PriorModel, grid):
+    import numpy as np
+
     boot = model.diagnostics.get("bootstrap") or {}
     if not boot.get("z_grid") or boot.get("h_low") is None:
         return None, None
@@ -279,6 +279,8 @@ def _band_arrays(model: PriorModel, grid: np.ndarray):
 
 
 def _cmd_hcurve(args) -> int:
+    import numpy as np
+
     from enfp.hcurve import h_curve, h_probability
 
     model = _load_model(args.model)
@@ -383,7 +385,11 @@ def _bounds_freq(args) -> int:
 
 
 def _bounds_bayes(args) -> int:
-    from enfp.bayes_bounds import omega_hat, positive_result
+    from enfp.bayes_bounds import (
+        omega_hat,
+        omega_hat_stratified,
+        positive_result,
+    )
     from enfp.records_io import load_records
 
     if args.model is None or args.records is None:
@@ -396,15 +402,19 @@ def _bounds_bayes(args) -> int:
         for trial in trials
         if trial.outcome == "positive"
     ]
-    labels = sorted({r.stratum for r in positives if r.stratum is not None})
-    if labels:
-        for name in labels:
-            group = [r for r in positives if r.stratum == name]
-            print(
-                f"stratum {name}: omega_hat = "
-                f"{_sig(omega_hat(group, args.endpoint_mode))} "
-                f"({len(group)} positives)"
-            )
+    by_stratum: dict = {}
+    for result in positives:
+        if result.stratum is not None:
+            by_stratum.setdefault(result.stratum, []).append(result)
+    per, _ = omega_hat_stratified(
+        by_stratum, endpoint_mode=args.endpoint_mode
+    )
+    for name in sorted(per):
+        print(
+            f"stratum {name}: omega_hat = {_sig(per[name])} "
+            f"({len(by_stratum[name])} positives)"
+        )
+    # The total counts the positives without a stratum too.
     total = omega_hat(positives, args.endpoint_mode)
     print(
         f"omega_hat = {_sig(total)} "
@@ -549,8 +559,8 @@ def _cmd_ledger_record(args) -> int:
     model = _load_model(args.model) if args.model else None
     trials, n_skipped = _classified(records, model)
     with Ledger.open(args.path) as led:
-        for trial in trials:
-            rec = led.record_outcome(trial, model=model)
+        recorded = led._record("outcome", trials, model, None)
+        for trial, rec in zip(trials, recorded):
             line = (
                 f"{trial.trial_id}: {trial.outcome}, spend "
                 f"{_sig(rec.spend_delta)}, spent {_sig(rec.spent)} "
@@ -570,8 +580,8 @@ def _cmd_ledger_adjust(args) -> int:
     records = load_records(args.records, fmt=args.format)
     model = _load_model(args.model) if args.model else None
     with Ledger.open(args.path) as led:
-        for trial in records:
-            rec = led.record_adjustment(trial, model, args.note)
+        recorded = led._record("adjustment", records, model, args.note)
+        for trial, rec in zip(records, recorded):
             print(
                 f"{trial.trial_id}: adjustment, spend "
                 f"{_sig(rec.spend_delta)}, spent {_sig(rec.spent)} "

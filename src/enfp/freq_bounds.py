@@ -9,15 +9,20 @@ Every tau in the package is computed here: both sums exact, rounded once
 each (as ``math.fsum``), then sum_delta * sum_alpha / N.  So
 ``tau_hat_mixed``, the simulator's tau and the ledger's projected spend
 agree bit for bit over the same designs, in any order.
+
+The public functions take Python numbers and sequences and load no
+numpy.  Only ``_tau_from_arrays``, the simulator's entry point, takes
+per-trial arrays; it groups them with ``np.unique`` where
+``tau_hat_mixed`` groups its specs with a ``Counter``, and both hand the
+same (value, count) pairs to one exact core.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple, Union
-
-import numpy as np
 
 from enfp.trials import FailureRegionType
 
@@ -44,9 +49,9 @@ def _read(total: int, n: int = 1) -> float:
     return total / (n << _SUM_EXP)
 
 
-def _exact_sum(values, counts) -> int:
-    """Exact sum of ``values``, each repeated ``counts`` times."""
-    pairs = zip(np.asarray(values).tolist(), counts.tolist())
+def _exact_sum(pairs) -> int:
+    """Exact sum over (value, count) pairs, each value repeated count
+    times."""
     return sum(c * _exact(v) for v, c in pairs)
 
 
@@ -133,15 +138,26 @@ def _tau_from_sums(sum_delta: int, sum_alpha: int, n: int) -> float:
     return _read(sum_delta) * _read(sum_alpha) / n if n else 0.0
 
 
-def _tau_from_arrays(rho: float, m, type_a, alpha) -> float:
-    """tau-hat over per-trial m, type-A flags and alphas, with delta and
-    alpha taken once per distinct value, each weighted by its count."""
-    designs = 2 * np.asarray(m, dtype=np.int64) + np.asarray(type_a, bool)
-    keys, counts = np.unique(designs, return_counts=True)
+def _tau_from_counts(rho: float, designs, alphas, n: int) -> float:
+    """tau-hat over n trials from (design, count) and (alpha, count)
+    pairs, a design being 2 m plus 1 for type A: delta and alpha are
+    taken once per distinct value, each weighted by its count."""
     types = (FailureRegionType.B, FailureRegionType.A)
-    deltas = [delta(rho, k // 2, types[k % 2]) for k in keys.tolist()]
-    sum_alpha = _exact_sum(*np.unique(alpha, return_counts=True))
-    return _tau_from_sums(_exact_sum(deltas, counts), sum_alpha, len(m))
+    deltas = [(delta(rho, k // 2, types[k % 2]), c) for k, c in designs]
+    return _tau_from_sums(_exact_sum(deltas), _exact_sum(alphas), n)
+
+
+def _tau_from_arrays(rho: float, m, type_a, alpha) -> float:
+    """``_tau_from_counts`` over per-trial arrays of m, type-A flags and
+    alphas."""
+    import numpy as np
+
+    def counted(x):
+        values, counts = np.unique(x, return_counts=True)
+        return zip(values.tolist(), counts.tolist())
+
+    designs = 2 * np.asarray(m, dtype=np.int64) + np.asarray(type_a, bool)
+    return _tau_from_counts(rho, counted(designs), counted(alpha), len(m))
 
 
 def tau_hat_mixed(bound_input: FreqBoundInput) -> float:
@@ -151,11 +167,10 @@ def tau_hat_mixed(bound_input: FreqBoundInput) -> float:
     trials.  An empty trial list is vacuous and yields 0.
     """
     trials = bound_input.trials
-    return _tau_from_arrays(
-        bound_input.rho_hat,
-        [spec.m for spec in trials],
-        [spec.t is FailureRegionType.A for spec in trials],
-        [spec.alpha for spec in trials],
+    designs = Counter(2 * s.m + (s.t is FailureRegionType.A) for s in trials)
+    alphas = Counter(s.alpha for s in trials)
+    return _tau_from_counts(
+        bound_input.rho_hat, designs.items(), alphas.items(), len(trials)
     )
 
 

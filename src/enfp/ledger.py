@@ -19,7 +19,10 @@ adjustment.  One step derives those numbers and the state update.  A
 live operation calls it once and stores what it gives; reopening a
 ledger calls it for every line and marks the file corrupt unless every
 stored number equals it, so the replayed state is the live state.
-Non-finite numbers are refused: the file is strict JSON.
+Non-finite numbers are refused: the file is strict JSON.  The Bayesian
+rules (``enfp.bayes_bounds``, and with them numpy) load only where a
+Bayesian entry is frozen or replayed, so a frequentist ledger runs on
+exact integer sums alone.
 
 Running sums are exact.  Each stratum keeps its sums of deltas, alphas
 and contributions as the exact integers of ``enfp.freq_bounds`` and
@@ -43,7 +46,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from enfp.bayes_bounds import PositiveTrialResult, positive_result, trial_contribution
 from enfp.freq_bounds import _exact, _read, _tau_from_sums, delta
 from enfp.trials import CannotClassifyError, FailureRegionType, TrialRecord
 
@@ -371,7 +373,7 @@ class Ledger:
         Frequentist mode: outcomes are logged for audit only and carry
         no spend (frequentist spend lives at proposal time).
         """
-        return self._record("outcome", trial, model, None)
+        return self._record("outcome", [trial], model, None)[0]
 
     def record_adjustment(
         self, trial: TrialRecord, model, note: str
@@ -382,7 +384,7 @@ class Ledger:
         an adjustment and requiring an explanatory note.  The adjustment
         fraction reported by ``status`` should stay small.
         """
-        return self._record("adjustment", trial, model, note)
+        return self._record("adjustment", [trial], model, note)[0]
 
     def status(self) -> dict:
         """Pure read of budgets, spend, and flags (plus per-stratum view)."""
@@ -514,7 +516,7 @@ class Ledger:
             )
         return view
 
-    def _freeze(self, trial: TrialRecord, model) -> PositiveTrialResult:
+    def _freeze(self, trial: TrialRecord, model):
         if model is None:
             raise LedgerError(
                 "bayes mode requires the prior model to freeze h values"
@@ -524,6 +526,8 @@ class Ledger:
                 f"model {model.model_id} does not match the pinned model "
                 f"{self._model_id}"
             )
+        from enfp.bayes_bounds import positive_result
+
         # Adjustments may rescue trials that missed their pre-registered
         # threshold, so freezing skips the positive-outcome gate.
         return positive_result(trial, model, require_positive=False)
@@ -585,6 +589,8 @@ class Ledger:
         positive = payload.get("outcome") == "positive"
         spends = kind == "adjustment" or (self._mode == "bayes" and positive)
         if spends:
+            from enfp.bayes_bounds import PositiveTrialResult, trial_contribution
+
             frozen = PositiveTrialResult(
                 trial_id=str(entry.get("trial_id")),
                 m=int(payload["m"]),
@@ -618,13 +624,35 @@ class Ledger:
             apply,
         )
 
-    def _record(
-        self, kind: str, trial: TrialRecord, model, note
-    ) -> OutcomeRecord:
-        """Append an outcome or adjustment of ``trial``.  In bayes mode,
-        one that spends first freezes its h values against ``model``:
-        they are facts of the entry, as its z values are."""
+    def _record(self, kind: str, trials, model, note) -> list:
+        """Append an outcome or adjustment of each of ``trials``, or of
+        none: every entry is built and checked before the first is
+        appended.  In bayes mode, one that spends first freezes its h
+        values against ``model``: they are facts of the entry, as its z
+        values are."""
         self._require_open()
+        entries = [self._entry(kind, trial, model, note) for trial in trials]
+        if len(entries) > 1:
+            # No refusal depends on the running state; a lone entry is
+            # checked as it is committed.
+            for entry in entries:
+                self._derive(entry)
+                self._encode_line(entry)
+        return [self._append(entry) for entry in entries]
+
+    def _append(self, entry: dict) -> OutcomeRecord:
+        state, numbers, apply = self._derive(entry)
+        return OutcomeRecord(
+            sequence=self._commit(entry, numbers, apply),
+            kind=entry["kind"],
+            trial_id=entry["trial_id"],
+            spend_delta=numbers["spend_delta"],
+            spent=numbers["spent_after"],
+            budget=state.budget,
+        )
+
+    def _entry(self, kind: str, trial: TrialRecord, model, note) -> dict:
+        """The facts of an outcome or adjustment entry for ``trial``."""
         payload = {
             "outcome": trial.outcome,
             "m": trial.m,
@@ -641,22 +669,13 @@ class Ledger:
                 payload["z"] = [float(z) for z in trial.z_values()]
             except CannotClassifyError:
                 payload["z"] = None
-        entry = {
+        return {
             "kind": kind,
             "trial_id": str(trial.trial_id),
             "stratum": trial.stratum,
             "payload": payload,
             "note": note,
         }
-        state, numbers, apply = self._derive(entry)
-        return OutcomeRecord(
-            sequence=self._commit(entry, numbers, apply),
-            kind=kind,
-            trial_id=entry["trial_id"],
-            spend_delta=numbers["spend_delta"],
-            spent=numbers["spent_after"],
-            budget=state.budget,
-        )
 
     def _commit(self, entry: dict, numbers: dict, apply) -> int:
         """Store the derived ``numbers``, the sequence and the time in

@@ -7,19 +7,17 @@ unblinding.  Everything downstream (prior estimation, h-probabilities,
 error accounting) consumes these value objects.
 
 All types are immutable after construction and safe to share across
-threads.
+threads.  The normal functions of ``enfp.special``, and numpy with them,
+load only where a quantile or probability is taken, so the types and the
+rules of the frequentist path run without numpy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
-
-from enfp.special import norm_cdf, norm_ppf
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 
 class InvalidScaleError(ValueError):
@@ -56,8 +54,11 @@ class FailureRegionType(enum.Enum):
 def _critical_z(alpha, m, is_type_a):
     """Per-endpoint critical z of a trial-level one-sided alpha: the
     normal quantile at 1 - alpha / m for type A, at 1 - alpha for type B
-    (see ``RejectionPolicy.at_alpha``)."""
-    return norm_ppf(1.0 - np.where(is_type_a, alpha / m, alpha))
+    (see ``RejectionPolicy.at_alpha``).  The divisor, 1 or m, is
+    written as arithmetic, as in ``_rejects``."""
+    from enfp.special import norm_ppf
+
+    return norm_ppf(1.0 - alpha / (1 + is_type_a * (m - 1)))
 
 
 def _rejects(n_exceed, m, is_type_a):
@@ -146,7 +147,7 @@ class EfficacyMeasure:
         """
         if not 0.0 < p_threshold < 1.0:
             raise DomainError("p_threshold must lie in (0, 1)")
-        z0 = float(norm_ppf(1.0 - p_threshold / 2.0))
+        z0 = p_to_z(p_threshold, direction_favorable=True)
         return cls(
             endpoint_index=endpoint_index,
             censor_interval=(-z0, z0),
@@ -336,12 +337,16 @@ def p_to_z(p_two_sided: float, direction_favorable: bool) -> float:
     """
     if not 0.0 < p_two_sided <= 1.0:
         raise DomainError(f"p must lie in (0, 1], got {p_two_sided}")
+    from enfp.special import norm_ppf
+
     magnitude = float(norm_ppf(1.0 - p_two_sided / 2.0))
     return magnitude if direction_favorable else -magnitude
 
 
 def z_to_p(z: float) -> float:
     """Two-sided p-value of a Z statistic: 2(1 - Phi(|z|))."""
+    from enfp.special import norm_cdf
+
     return float(2.0 * (1.0 - norm_cdf(abs(z))))
 
 
@@ -373,8 +378,8 @@ def classify_rejection(trial: TrialRecord, model=None) -> str:
             )
         from enfp.hcurve import h_values
 
-        h = h_values(model, np.array(zs))
-        n_exceed = int(np.count_nonzero(h >= trial.policy.h_floor))
+        h = h_values(model, zs)
+        n_exceed = int((h >= trial.policy.h_floor).sum())
     else:
         criticals = trial.policy.per_endpoint_critical_z
         n_exceed = sum([z > c for z, c in zip(zs, criticals)])

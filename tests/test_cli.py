@@ -552,6 +552,57 @@ class TestLedgerCli:
         with Ledger.open(path) as led:
             assert led.status()["n_entries"] == 1221
 
+    def test_record_refuses_the_whole_batch(self, capsys, tmp_path):
+        # t-2's stratum is unknown: nothing is recorded, not even t-0
+        # and t-1, so a rerun after mending the file records each once.
+        path = tmp_path / "led.jsonl"
+        code, _, _ = run(
+            capsys, "ledger", "init", str(path), "--mode", "freq",
+            "--stratum", "us=1.0:0.1",
+        )
+        assert code == 0
+        before = path.read_bytes()
+        rec_path = tmp_path / "outcomes.csv"
+        records_to_csv(
+            [
+                single_trial("t-0", 2.5, stratum="us", outcome="positive"),
+                single_trial("t-1", 0.3, stratum="us", outcome="negative"),
+                single_trial("t-2", 2.2, stratum="eu", outcome="positive"),
+            ],
+            rec_path,
+        )
+        code, out, err = run(
+            capsys, "ledger", "record", str(path), "--records", str(rec_path)
+        )
+        assert code == 2
+        assert "unknown stratum 'eu'" in err
+        assert out == ""
+        assert path.read_bytes() == before
+
+    def test_adjust_refuses_the_whole_batch(self, capsys, tmp_path):
+        # The second trial's z is infinite, which a strict-JSON ledger
+        # line cannot hold.
+        _, model_path = two_point_model(tmp_path)
+        path = tmp_path / "bayes.jsonl"
+        run(
+            capsys, "ledger", "init", str(path), "--mode", "bayes",
+            "--budget", "0.5", "--model", str(model_path),
+        )
+        before = path.read_bytes()
+        rec_path = tmp_path / "adj.csv"
+        records_to_csv(
+            [single_trial("a-1", 1.5), single_trial("a-2", float("inf"))],
+            rec_path,
+        )
+        code, out, err = run(
+            capsys, "ledger", "adjust", str(path), "--records", str(rec_path),
+            "--model", str(model_path), "--note", "late unblinding",
+        )
+        assert code == 2
+        assert "non-finite" in err
+        assert out == ""
+        assert path.read_bytes() == before
+
     def test_init_prints_capacity(self, capsys, tmp_path):
         path = tmp_path / "led.jsonl"
         code, out, _ = run(
@@ -1100,13 +1151,15 @@ class TestEntryPoint:
 
 
 def enfp_modules_after(env, *argv):
-    """The enfp submodules a fresh interpreter, started with ``env``,
-    holds after a successful ``cli.main(argv)``."""
+    """The enfp submodules, and ``numpy`` if loaded, that a fresh
+    interpreter, started with ``env``, holds after a successful
+    ``cli.main(argv)``."""
     code = (
         "import json, sys\n"
         "from enfp import cli\n"
         f"code = cli.main({list(argv)!r})\n"
-        "mods = sorted(m for m in sys.modules if m.startswith('enfp.'))\n"
+        "mods = sorted(m for m in sys.modules\n"
+        "              if m.startswith('enfp.') or m == 'numpy')\n"
         "print(json.dumps([code, mods]))\n"
     )
     proc = subprocess.run(
@@ -1118,8 +1171,15 @@ def enfp_modules_after(env, *argv):
     return {m.removeprefix("enfp.") for m in mods}
 
 
+# What a frequentist command runs on exact sums never loads.
+ARRAY_PATH = {
+    "deconv", "hcurve", "bayes_bounds", "records_io", "simulate", "numpy"
+}
+
+
 class TestImportFootprint:
-    """Each subcommand imports only the modules it runs."""
+    """Each subcommand imports only the modules it runs, and the
+    frequentist commands load no numpy."""
 
     def test_help_loads_only_cli(self, src_env):
         assert enfp_modules_after(src_env, "--help") == {"cli"}
@@ -1130,7 +1190,7 @@ class TestImportFootprint:
             "bounds", "--mode", "freq", "--rho", "0.1", "--alphas", "0.025,0.05"
         )
         assert "freq_bounds" in mods
-        assert not mods & {"deconv", "hcurve", "records_io", "ledger", "simulate"}
+        assert not mods & (ARRAY_PATH | {"ledger"})
 
     def test_freq_ledger_status(self, tmp_path, src_env):
         path = tmp_path / "budget.jsonl"
@@ -1139,7 +1199,20 @@ class TestImportFootprint:
             src_env, "ledger", "status", str(path), "--json"
         )
         assert "ledger" in mods
-        assert not mods & {"deconv", "records_io", "simulate"}
+        assert not mods & ARRAY_PATH
+
+    def test_freq_ledger_init_propose_and_bound(self, tmp_path, src_env):
+        path = str(tmp_path / "budget.jsonl")
+        for argv in (
+            ("ledger", "init", path, "--mode", "freq", "--budget", "1.0",
+             "--rho", "0.09"),
+            ("ledger", "propose", path, "--trial-id", "t-001", "--alpha",
+             "0.025"),
+            ("bounds", "--ledger", path),
+        ):
+            mods = enfp_modules_after(src_env, *argv)
+            assert "ledger" in mods, argv
+            assert not mods & ARRAY_PATH, argv
 
     def test_synth(self, tmp_path, src_env):
         out = tmp_path / "corpus.csv"
@@ -1147,7 +1220,7 @@ class TestImportFootprint:
             src_env,
             "synth", "--out", str(out), "--n-exact", "20", "--n-censored", "5"
         )
-        assert "records_io" in mods
+        assert {"records_io", "numpy"} <= mods
         assert not mods & {"deconv", "ledger", "simulate"}
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from enfp.freq_bounds import (
     TrialSpec,
     _exact_sum,
     _read,
+    _tau_from_arrays,
     capacity,
     delta,
     tau_hat_mixed,
@@ -232,8 +234,36 @@ class TestExactSum:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(SIGNED, max_size=80))
     def test_equals_fsum(self, values):
+        # Both groupings the front ends use: np.unique and Counter.
         distinct, counts = np.unique(np.asarray(values), return_counts=True)
-        assert _read(_exact_sum(distinct, counts)) == math.fsum(values)
+        by_unique = zip(distinct.tolist(), counts.tolist())
+        assert _read(_exact_sum(by_unique)) == math.fsum(values)
+        by_counter = Counter(values).items()
+        assert _read(_exact_sum(by_counter)) == math.fsum(values)
+
+
+# Alphas in (0, 1) from subnormals up, with values that repeat.
+ALPHAS = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+    st.floats(min_value=5e-324, max_value=2.2250738585072014e-308),
+    st.sampled_from([5e-324, 1e-300, 1e-17, 0.001, 0.025, 0.05, 0.3]),
+)
+DESIGNS = st.tuples(st.integers(1, 6), st.sampled_from([A, B]), ALPHAS)
+
+
+class TestTauFrontEnds:
+    """tau_hat_mixed groups its specs with a Counter and the simulator's
+    _tau_from_arrays groups arrays with np.unique; both feed one exact
+    core, so they agree bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0), st.lists(DESIGNS, max_size=60))
+    def test_counter_equals_unique(self, rho, designs):
+        m = np.array([d[0] for d in designs], dtype=np.int64)
+        type_a = np.array([d[1] is A for d in designs], dtype=bool)
+        alpha = np.array([d[2] for d in designs], dtype=float)
+        bound = FreqBoundInput(rho_hat=rho, trials=tuple(designs))
+        assert tau_hat_mixed(bound) == _tau_from_arrays(rho, m, type_a, alpha)
 
 
 class TestTauEqualsLedgerSpend:

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from enfp.deconv import PriorModel
 from enfp.hcurve import h_values
+from enfp.special import norm_ppf
 from enfp.trials import (
     CannotClassifyError,
     DomainError,
@@ -291,6 +292,25 @@ class TestTypeRules:
             type_a=[True, False, True, False, False],
             type_b=[True, True, True, False, True],
         )
+
+    def test_critical_z_divisor_is_the_bonferroni_split(self):
+        # The divisor 1 + is_type_a * (m - 1) gives, bit for bit, the
+        # quantile of the split written as a selection.
+        menu = [1e-12, 1e-4, 0.001, 0.025, 0.05, 0.3, 0.999]
+        draws = np.random.default_rng(11).uniform(0.0, 1.0, 200)
+        alphas = np.concatenate([menu, draws[draws > 0.0]])
+        ms = np.array([1, 2, 3, 5, 7, 1000])
+        flags = np.array([True, False, True, False, True, False])
+        for m in ms.tolist():
+            for is_a in (True, False):
+                expected = norm_ppf(1.0 - np.where(is_a, alphas / m, alphas))
+                assert np.array_equal(_critical_z(alphas, m, is_a), expected)
+                for alpha, crit in zip(alphas.tolist(), expected.tolist()):
+                    assert _critical_z(alpha, m, is_a) == crit
+        # Per-trial columns against the alpha menu, as the simulator asks.
+        table = _critical_z(alphas, ms[:, None], flags[:, None])
+        split = np.where(flags[:, None], alphas / ms[:, None], alphas)
+        assert np.array_equal(table, norm_ppf(1.0 - split))
 
     def test_critical_z_is_the_policy_table(self):
         alphas = np.array([0.001, 0.025, 0.3])
