@@ -385,11 +385,8 @@ def _bounds_freq(args) -> int:
 
 
 def _bounds_bayes(args) -> int:
-    from enfp.bayes_bounds import (
-        omega_hat,
-        omega_hat_stratified,
-        positive_result,
-    )
+    from enfp.bayes_bounds import omega_hat, omega_hat_stratified
+    from enfp.bayes_bounds import positive_result
     from enfp.records_io import load_records
 
     if args.model is None or args.records is None:
@@ -406,9 +403,7 @@ def _bounds_bayes(args) -> int:
     for result in positives:
         if result.stratum is not None:
             by_stratum.setdefault(result.stratum, []).append(result)
-    per, _ = omega_hat_stratified(
-        by_stratum, endpoint_mode=args.endpoint_mode
-    )
+    per, _ = omega_hat_stratified(by_stratum, endpoint_mode=args.endpoint_mode)
     for name in sorted(per):
         print(
             f"stratum {name}: omega_hat = {_sig(per[name])} "
@@ -559,7 +554,7 @@ def _cmd_ledger_record(args) -> int:
     model = _load_model(args.model) if args.model else None
     trials, n_skipped = _classified(records, model)
     with Ledger.open(args.path) as led:
-        recorded = led._record("outcome", trials, model, None)
+        recorded = led.record_outcomes(trials, model)
         for trial, rec in zip(trials, recorded):
             line = (
                 f"{trial.trial_id}: {trial.outcome}, spend "
@@ -580,7 +575,7 @@ def _cmd_ledger_adjust(args) -> int:
     records = load_records(args.records, fmt=args.format)
     model = _load_model(args.model) if args.model else None
     with Ledger.open(args.path) as led:
-        recorded = led._record("adjustment", records, model, args.note)
+        recorded = led.record_adjustments(records, model, args.note)
         for trial, rec in zip(records, recorded):
             print(
                 f"{trial.trial_id}: adjustment, spend "

@@ -20,6 +20,7 @@ same (value, count) pairs to one exact core.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple, Union
@@ -64,6 +65,7 @@ class TrialSpec:
     alpha: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", operator.index(self.m))
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if not isinstance(self.t, FailureRegionType):

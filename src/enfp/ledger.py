@@ -373,7 +373,13 @@ class Ledger:
         Frequentist mode: outcomes are logged for audit only and carry
         no spend (frequentist spend lives at proposal time).
         """
-        return self._record("outcome", [trial], model, None)[0]
+        return self.record_outcomes([trial], model)[0]
+
+    def record_outcomes(self, trials, model=None) -> list:
+        """Record each of ``trials`` as ``record_outcome`` does, or none
+        of them: every entry is built and checked before the first is
+        appended, so a refused trial leaves the file unchanged."""
+        return self._record("outcome", trials, model, None)
 
     def record_adjustment(
         self, trial: TrialRecord, model, note: str
@@ -384,7 +390,12 @@ class Ledger:
         an adjustment and requiring an explanatory note.  The adjustment
         fraction reported by ``status`` should stay small.
         """
-        return self._record("adjustment", [trial], model, note)[0]
+        return self.record_adjustments([trial], model, note)[0]
+
+    def record_adjustments(self, trials, model, note: str) -> list:
+        """Record each of ``trials`` as ``record_adjustment`` does, or
+        none of them, as ``record_outcomes`` does."""
+        return self._record("adjustment", trials, model, note)
 
     def status(self) -> dict:
         """Pure read of budgets, spend, and flags (plus per-stratum view)."""
@@ -627,17 +638,15 @@ class Ledger:
     def _record(self, kind: str, trials, model, note) -> list:
         """Append an outcome or adjustment of each of ``trials``, or of
         none: every entry is built and checked before the first is
-        appended.  In bayes mode, one that spends first freezes its h
+        appended, which is sound because no refusal depends on the
+        running state.  In bayes mode, one that spends first freezes its h
         values against ``model``: they are facts of the entry, as its z
         values are."""
         self._require_open()
         entries = [self._entry(kind, trial, model, note) for trial in trials]
-        if len(entries) > 1:
-            # No refusal depends on the running state; a lone entry is
-            # checked as it is committed.
-            for entry in entries:
-                self._derive(entry)
-                self._encode_line(entry)
+        for entry in entries:
+            self._derive(entry)
+            self._encode_line(entry)
         return [self._append(entry) for entry in entries]
 
     def _append(self, entry: dict) -> OutcomeRecord:

@@ -220,6 +220,16 @@ class TestInputValidation:
         spec = TrialSpec(m=2, t="A", alpha=0.05)
         assert spec.t is A
 
+    def test_m_is_an_integer(self):
+        spec = TrialSpec(m=np.int64(2), t=A, alpha=0.05)
+        assert type(spec.m) is int and spec.m == 2
+        assert tau_hat_mixed(FreqBoundInput(0.5, (spec,))) == tau_hat_mixed(
+            FreqBoundInput(0.5, (TrialSpec(m=2, t=A, alpha=0.05),))
+        )
+        for m in (2.0, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                TrialSpec(m=m, t=A, alpha=0.05)
+
 
 # Floats of both signs from subnormals to 1e3, with values that repeat.
 MAGNITUDES = st.one_of(

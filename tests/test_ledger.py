@@ -286,6 +286,29 @@ class TestRecordOutcome:
             with pytest.raises(LedgerError):
                 led.record_outcome(make_trial("rx-1", [2.0]), other)
 
+    def test_batch_is_recorded_whole_or_not_at_all(self, tmp_path):
+        model = small_model()
+        path = tmp_path / "l.jsonl"
+        good = [make_trial("rx-1", [2.4]), make_trial("rx-2", [2.8, 2.2])]
+        with Ledger.create(path, "bayes", budget=0.5, model=model) as led:
+            before = path.read_bytes()
+            # rx-3's infinite z cannot be stored, so rx-1 and rx-2 are not
+            # stored either.
+            bad = make_trial("rx-3", [math.inf])
+            with pytest.raises(LedgerError, match="non-finite"):
+                led.record_outcomes(good + [bad], model)
+            assert path.read_bytes() == before
+            recs = led.record_outcomes(good, model)
+            assert [r.sequence for r in recs] == [1, 2]
+            assert recs[-1].spent == led.status()["spent"]
+        with Ledger.create(
+            tmp_path / "one.jsonl", "bayes", budget=0.5, model=model
+        ) as led:
+            one = [led.record_outcome(t, model) for t in good]
+        assert [(r.spend_delta, r.spent) for r in one] == [
+            (r.spend_delta, r.spent) for r in recs
+        ]
+
     def test_frequentist_outcomes_are_audit_only(self, tmp_path):
         with Ledger.create(
             tmp_path / "l.jsonl", "frequentist", budget=1.0, rho_hat=0.1
