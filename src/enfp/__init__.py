@@ -53,8 +53,7 @@ _EXPORTS = {
     ),
     "simulate": (
         "ScenarioConfig", "PolicySpec", "PopulationDraw", "SimulationReport",
-        "simulate_population", "oracle_count_fp", "check_concordance",
-        "validate_bounds",
+        "oracle_count_fp", "check_concordance", "validate_bounds",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -293,13 +293,15 @@ class Ledger:
 
         The header passes the checks that :meth:`create` applies, and
         every number an entry stores must equal the one that live
-        operations derive.  :attr:`replay_stats` reports the replay.
+        operations derive.  A file whose last line has no newline is
+        refused before anything is appended (see :meth:`_read_lines`).
+        :attr:`replay_stats` reports the replay.
         """
         started = time.perf_counter()
         try:
             with open(path, encoding="utf-8") as fh:
                 file_bytes = os.fstat(fh.fileno()).st_size
-                lines = fh.read().splitlines()
+                lines = cls._read_lines(fh)
         except OSError as exc:
             raise LedgerError(f"cannot read ledger file: {exc}") from exc
         if not lines:
@@ -750,6 +752,24 @@ class Ledger:
                 f"cannot record a non-finite value ({exc})"
             ) from exc
         return line + "\n"
+
+    @staticmethod
+    def _read_lines(fh) -> list:
+        """The lines of a ledger file, without their newlines.
+
+        A last line without its newline is refused: every write ends
+        with one, so the last write was torn, and an append would join
+        the next entry onto it.  The file's text is released on return,
+        before the replay.
+        """
+        text = fh.read()
+        lines = text.splitlines()
+        if lines and not text.endswith("\n"):
+            raise LedgerCorruptError(
+                f"line {len(lines)}: unterminated (torn) last line; the "
+                "last write did not finish"
+            )
+        return lines
 
     @staticmethod
     def _parse_line(raw: str, lineno: int) -> dict:

@@ -40,10 +40,7 @@ from enfp.bayes_bounds import _check_endpoint_mode, _omega_from_arrays
 from enfp.freq_bounds import _SUM_EXP, _exact, _read, _tau_from_arrays
 from enfp.hcurve import ZERO_TOLERANCE, h_values
 from enfp.trials import (
-    EfficacyMeasure,
     FailureRegionType,
-    RejectionPolicy,
-    TrialRecord,
     _critical_z,
     _in_failure_region,
     _rejects,
@@ -60,7 +57,6 @@ __all__ = [
     "draw_population",
     "oracle_count_fp",
     "rho_from_prior",
-    "simulate_population",
     "validate_bounds",
 ]
 
@@ -279,38 +275,6 @@ class PopulationDraw:
     def n_trials(self) -> int:
         return int(self.m.size)
 
-    def to_records(self) -> list:
-        """Materialize (TrialRecord, true theta tuple) pairs.
-
-        Intended for modest n (interop and audit); the array form is the
-        workhorse for large populations.
-        """
-        out = []
-        for i in range(self.n_trials):
-            m = int(self.m[i])
-            t = (
-                FailureRegionType.A
-                if bool(self.is_type_a[i])
-                else FailureRegionType.B
-            )
-            policy = RejectionPolicy.at_alpha(
-                float(self.alpha[i]), m=m, failure_type=t
-            )
-            measures = tuple(
-                EfficacyMeasure(endpoint_index=j + 1, z=float(self.z[i, j]))
-                for j in range(m)
-            )
-            record = TrialRecord(
-                trial_id=f"sim-{self.replicate}-{i}",
-                m=m,
-                failure_type=t,
-                measures=measures,
-                policy=policy,
-                outcome="positive" if bool(self.positive[i]) else "negative",
-            )
-            out.append((record, tuple(float(x) for x in self.theta[i, :m])))
-        return out
-
 
 def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
     """Draw one population replicate (vectorized, fixed draw order)."""
@@ -399,22 +363,9 @@ def _policy_alphas(rng, policy: PolicySpec, theta, valid, m):
     return menu, k - 1 - bins  # adversarial: stringent when strong
 
 
-def simulate_population(cfg: ScenarioConfig, replicate: int = 0) -> list:
-    """Record-level population: list of (TrialRecord, theta tuple)."""
-    return draw_population(cfg, replicate).to_records()
-
-
-def oracle_count_fp(population) -> int:
+def oracle_count_fp(draw: PopulationDraw) -> int:
     """Count positives whose hidden truth lies in the failure region."""
-    if isinstance(population, PopulationDraw):
-        return int(np.count_nonzero(population.positive & population.null_truth))
-    count = 0
-    for record, theta in population:
-        if record.outcome == "positive":
-            n_null = sum(t <= ZERO_TOLERANCE for t in theta)
-            is_type_a = record.failure_type is FailureRegionType.A
-            count += _in_failure_region(n_null, record.m, is_type_a)
-    return count
+    return int(np.count_nonzero(draw.positive & draw.null_truth))
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ rules of the frequentist path run without numpy.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -47,6 +48,22 @@ class FailureRegionType(enum.Enum):
         return self.value
 
 
+@functools.lru_cache(maxsize=1024)
+def _norm_quantile(p: float) -> float:
+    """The normal quantile of one probability, as a Python float.
+
+    Memoized: a corpus or a ledger asks for the same few quantiles (one
+    censoring threshold, a handful of alpha splits) over and over, and
+    one call of the array-based ``special.norm_ppf`` costs many times
+    the record it feeds.  The value is ``float(norm_ppf(p))`` bit
+    for bit; a refused ``p`` raises ``norm_ppf``'s ValueError on every
+    call, since exceptions are not cached.
+    """
+    from enfp.special import norm_ppf
+
+    return float(norm_ppf(p))
+
+
 # The rules that tell the two types apart, each written once.  Each takes
 # per-trial numbers and runs on scalars or elementwise on arrays.
 
@@ -55,10 +72,14 @@ def _critical_z(alpha, m, is_type_a):
     """Per-endpoint critical z of a trial-level one-sided alpha: the
     normal quantile at 1 - alpha / m for type A, at 1 - alpha for type B
     (see ``RejectionPolicy.at_alpha``).  The divisor, 1 or m, is
-    written as arithmetic, as in ``_rejects``."""
+    written as arithmetic, as in ``_rejects``.  A scalar goes through
+    the memoized ``_norm_quantile``; an array through ``norm_ppf``."""
+    q = 1.0 - alpha / (1 + is_type_a * (m - 1))
+    if isinstance(q, float):
+        return _norm_quantile(q)
     from enfp.special import norm_ppf
 
-    return norm_ppf(1.0 - alpha / (1 + is_type_a * (m - 1)))
+    return norm_ppf(q)
 
 
 def _rejects(n_exceed, m, is_type_a):
@@ -143,7 +164,9 @@ class EfficacyMeasure:
         """Build a censored measure knowing only that p >= p_threshold.
 
         The resulting interval is the symmetric band |Z| < z0 with
-        z0 = the two-sided critical value at p_threshold.
+        z0 = the two-sided critical value at p_threshold, taken through
+        the memoized quantile of :func:`p_to_z`: a file of censored rows
+        at one threshold computes z0 once, with the same value.
         """
         if not 0.0 < p_threshold < 1.0:
             raise DomainError("p_threshold must lie in (0, 1)")
@@ -206,7 +229,10 @@ class RejectionPolicy:
         Type A (any-endpoint rejection) splits alpha across endpoints,
         Bonferroni style: each critical value is the one-sided normal
         quantile at alpha / m.  Type B (all-endpoint rejection, an
-        intersection-union test) keeps level alpha per endpoint.
+        intersection-union test) keeps level alpha per endpoint.  The
+        quantile is memoized, so repeated calls with the same (alpha,
+        m, type) compute it once and return the value of a direct
+        ``norm_ppf`` call.
 
         Args:
             alpha: trial-level one-sided type I error rate.
@@ -221,7 +247,7 @@ class RejectionPolicy:
         if m < 1:
             raise ValueError("m must be >= 1")
         is_type_a = failure_type is FailureRegionType.A
-        crit = float(_critical_z(alpha, m, is_type_a))
+        crit = _critical_z(alpha, m, is_type_a)
         return cls(
             mode="alpha_level",
             per_endpoint_critical_z=(crit,) * m,
@@ -330,16 +356,16 @@ def p_to_z(p_two_sided: float, direction_favorable: bool) -> float:
     """Convert a two-sided p-value to a signed Z statistic.
 
     z = sign * Phi^{-1}(1 - p/2), with sign +1 when the point estimate
-    favored the intervention and -1 otherwise.
+    favored the intervention and -1 otherwise.  The quantile is
+    memoized per distinct p, and equals a direct ``norm_ppf`` call bit
+    for bit.
 
     Raises:
         DomainError: if p lies outside (0, 1].
     """
     if not 0.0 < p_two_sided <= 1.0:
         raise DomainError(f"p must lie in (0, 1], got {p_two_sided}")
-    from enfp.special import norm_ppf
-
-    magnitude = float(norm_ppf(1.0 - p_two_sided / 2.0))
+    magnitude = _norm_quantile(1.0 - p_two_sided / 2.0)
     return magnitude if direction_favorable else -magnitude
 
 

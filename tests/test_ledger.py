@@ -482,6 +482,24 @@ class TestCorruption:
         with pytest.raises(LedgerCorruptError):
             Ledger.open(path)
 
+    @pytest.mark.parametrize(
+        "cut", [1, 20], ids=["newline", "partial_entry"]
+    )
+    def test_torn_last_line_refused_before_any_append(self, tmp_path, cut):
+        # Two proposals, then the final write loses its last bytes: a
+        # whole entry without its newline, or only part of the entry.
+        path = tmp_path / "l.jsonl"
+        with Ledger.create(
+            path, "frequentist", budget=1.0, rho_hat=0.09
+        ) as led:
+            led.propose("t0", 1, B, 0.025)
+            led.propose("t1", 1, B, 0.025)
+        torn = path.read_bytes()[:-cut]
+        path.write_bytes(torn)
+        with pytest.raises(LedgerCorruptError, match=r"line 3: unterminated"):
+            Ledger.open(path)
+        assert path.read_bytes() == torn
+
 
 class TestStoredNumbers:
     def test_tampered_spent_after_of_non_spending_entries(self, tmp_path):

@@ -1,8 +1,11 @@
 """Round-trip and error-reporting tests for trial-record serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import enfp.special
 from enfp.records_io import (
     CSV_COLUMNS,
     RecordParseError,
@@ -23,6 +26,7 @@ from enfp.trials import (
     FailureRegionType,
     RejectionPolicy,
     TrialRecord,
+    _norm_quantile,
     classify_rejection,
     p_to_z,
 )
@@ -403,6 +407,58 @@ class TestSynthesizeCorpus:
                 effect_mean=6.0,
                 effect_sd=0.1,
             )
+
+    # sha256 of records_to_csv(synthesize_corpus(1221, 172, **kwargs)),
+    # recorded before the generator classified its draws as one array.
+    PINNED = [
+        ({"seed": 7},
+         "b6c5a4828dee975f690f6adda5e8ca0f1b311b7787e0095d51b4ba0a72bd46dc"),
+        ({"seed": 8},
+         "f8e2cbbb73d975e8cd677eb1918a83763290ae5ef10a30cf585ae720623a55ca"),
+        ({"seed": 9},
+         "8e378aeddf14d6e1cdc0bbb465c5ba7e355ac5397299f08240e046581c8f03a1"),
+        ({"seed": 3, "censor_p": 0.01, "alpha": 0.05},
+         "e4a54dedc00bb67971e3fecf4d5225092a227b9e47d0f65f1481f90cdf6eefaf"),
+    ]
+
+    @pytest.mark.parametrize(
+        "kwargs,digest", PINNED, ids=["seed7", "seed8", "seed9", "p01_a05"]
+    )
+    def test_csv_bytes_are_pinned(self, tmp_path, kwargs, digest):
+        path = tmp_path / "corpus.csv"
+        records_to_csv(synthesize_corpus(1221, 172, **kwargs), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_quantiles_do_not_grow_with_the_censored_rows(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        direct = enfp.special.norm_ppf
+
+        def counting(p):
+            calls.append(p)
+            return direct(p)
+
+        monkeypatch.setattr(enfp.special, "norm_ppf", counting)
+
+        def count(fn, *args):
+            _norm_quantile.cache_clear()
+            calls.clear()
+            out = fn(*args)
+            _norm_quantile.cache_clear()
+            return out, len(calls)
+
+        counts = {}
+        for n_censored in (20, 172):
+            corpus, n_synth = count(synthesize_corpus, 1221, n_censored, 7)
+            path = tmp_path / f"c{n_censored}.csv"
+            records_to_csv(corpus, path)
+            loaded, n_read = count(records_from_csv, path)
+            assert loaded == corpus
+            counts[n_censored] = (n_synth, n_read)
+        assert counts[20] == counts[172]
+        # alpha = 0.025 and censor_p = 0.05 share the quantile at 0.975.
+        assert counts[172] == (1, 1)
 
     def test_corpus_feeds_the_estimator(self, tmp_path):
         corpus = synthesize_corpus(120, 20, seed=4)

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 from enfp.bayes_bounds import omega_hat, positive_result
 from enfp.deconv import PriorModel
 from enfp.freq_bounds import FreqBoundInput, tau_hat_mixed
-from enfp.hcurve import h_values
+from enfp.hcurve import ZERO_TOLERANCE, h_values
 from enfp.simulate import (
     _EQ_SLACK,
     BinnedCheck,
@@ -29,7 +29,6 @@ from enfp.simulate import (
     draw_population,
     oracle_count_fp,
     rho_from_prior,
-    simulate_population,
     validate_bounds,
 )
 from enfp.special import norm_cdf, norm_ppf
@@ -74,6 +73,45 @@ def mixed_scenario(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+# The record-level oracle, kept as a differential test of the array path:
+# each drawn trial becomes a TrialRecord with the policy of its alpha and
+# the outcome of classify_rejection, and its false positives are counted
+# from the failure-region definition over its true effects.
+
+
+def draw_records(draw):
+    """(TrialRecord, true theta tuple) for every trial of a draw."""
+    out = []
+    for i in range(draw.n_trials):
+        m = int(draw.m[i])
+        t = A if draw.is_type_a[i] else B
+        record = TrialRecord(
+            trial_id=f"sim-{draw.replicate}-{i}",
+            m=m,
+            failure_type=t,
+            measures=tuple(
+                EfficacyMeasure(endpoint_index=j + 1, z=float(draw.z[i, j]))
+                for j in range(m)
+            ),
+            policy=RejectionPolicy.at_alpha(float(draw.alpha[i]), m, t),
+        )
+        record = record.with_outcome(classify_rejection(record))
+        out.append((record, tuple(float(x) for x in draw.theta[i, :m])))
+    return out
+
+
+def record_count_fp(population):
+    """False positives among (record, theta) pairs: a type A trial is
+    in its failure region when every endpoint is null, a type B trial
+    when any one is."""
+    count = 0
+    for record, theta in population:
+        nulls = [t <= ZERO_TOLERANCE for t in theta]
+        in_region = all(nulls) if record.failure_type is A else any(nulls)
+        count += record.outcome == "positive" and in_region
+    return count
 
 
 class TestCalibration:
@@ -179,9 +217,10 @@ class TestDrawShape:
         assert cfg.m_distribution == ((1, B, 1.0),)
 
     def test_classifier_agreement_with_trial_model(self):
-        records = simulate_population(mixed_scenario(n_trials=400))
-        for record, _theta in records:
-            assert classify_rejection(record) == record.outcome
+        draw = draw_population(mixed_scenario(n_trials=400))
+        outcomes = [record.outcome for record, _ in draw_records(draw)]
+        expected = ["positive" if p else "negative" for p in draw.positive]
+        assert outcomes == expected
 
 
 class TestOraclePrior:
@@ -233,7 +272,7 @@ class TestOracleCount:
             # null but negative -> not a false positive
             (rec("t4", B, [0.3], "negative"), (-1.0,)),
         ]
-        assert oracle_count_fp(population) == 2
+        assert record_count_fp(population) == 2
 
     def test_no_null_trials(self):
         cfg = mixed_scenario(
@@ -256,7 +295,7 @@ class TestOracleCount:
     def test_array_and_record_paths_agree(self):
         cfg = mixed_scenario(n_trials=800)
         draw = draw_population(cfg)
-        assert oracle_count_fp(draw) == oracle_count_fp(draw.to_records())
+        assert oracle_count_fp(draw) == record_count_fp(draw_records(draw))
 
     def test_null_threshold_is_zero_tolerance(self):
         # theta = 5e-13 is within ZERO_TOLERANCE of 0: rho counts it as
@@ -276,7 +315,7 @@ class TestOracleCount:
         n_positive = int(draw.positive.sum())
         assert n_positive > 0 and draw.null_truth.all()
         assert oracle_count_fp(draw) == n_positive
-        assert oracle_count_fp(draw.to_records()) == n_positive
+        assert record_count_fp(draw_records(draw)) == n_positive
 
 
 class TestConcordance:
@@ -668,7 +707,7 @@ class TestVectorizedBounds:
         model = cfg.prior_model()
         frozen = [
             positive_result(record, model)
-            for record, _ in draw_population(cfg).to_records()
+            for record, _ in draw_records(draw_population(cfg))
             if record.outcome == "positive"
         ]
         for mode in ("designated", "tightest"):

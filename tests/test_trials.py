@@ -1,5 +1,7 @@
 """Tests for trial domain types and standardization operations."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +19,7 @@ from enfp.trials import (
     TrialRecord,
     _critical_z,
     _in_failure_region,
+    _norm_quantile,
     _rejects,
     classify_rejection,
     p_to_z,
@@ -77,7 +80,7 @@ class TestPToZ:
         assert p_to_z(0.05, False) == -p_to_z(0.05, True)
 
     def test_domain_errors(self):
-        for bad in (0.0, -0.1, 1.0001, 2.0):
+        for bad in (0.0, -0.1, 1.0001, 2.0, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 p_to_z(bad, True)
 
@@ -89,6 +92,46 @@ class TestPToZ:
             for favorable in (True, False):
                 z = p_to_z(float(p), favorable)
                 assert abs(z_to_p(z) - p) < 1e-10
+
+
+class TestQuantileMemo:
+    """The memoized scalar quantile behind p_to_z and at_alpha."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        _norm_quantile.cache_clear()
+        yield
+        _norm_quantile.cache_clear()
+
+    def test_bit_identical_to_norm_ppf(self):
+        # Both tails, including the far-tail branch (r > 5, p below
+        # about 1.4e-11), the centre, and the branch edges |p - 0.5| =
+        # 0.425.
+        tail = np.geomspace(1e-300, 0.1, 400)
+        ps = np.concatenate(
+            [
+                tail,
+                np.linspace(0.01, 0.99, 197),
+                1.0 - tail[tail > 1e-16],
+                [0.075, 0.925, 0.5, 0.975, np.nextafter(1.0, 0.0)],
+            ]
+        ).tolist()
+        for p in ps:
+            direct = float(norm_ppf(p)).hex()
+            assert _norm_quantile(p).hex() == direct, p
+            assert _norm_quantile(p).hex() == direct, p
+
+    @pytest.mark.parametrize(
+        "bad", [0.0, 1.0, math.nan, math.inf, -math.inf]
+    )
+    def test_refusals_repeat_and_are_not_cached(self, bad):
+        with pytest.raises(ValueError) as direct:
+            norm_ppf(bad)
+        for _ in range(2):
+            with pytest.raises(ValueError) as memo:
+                _norm_quantile(bad)
+            assert type(memo.value) is type(direct.value)
+            assert _norm_quantile.cache_info().currsize == 0
 
 
 class TestClassifyRejection:
