@@ -38,8 +38,8 @@ _EXPORTS = {
         "tau_hat_mixed", "tau_hat_stratified", "capacity",
     ),
     "bayes_bounds": (
-        "PositiveTrialResult", "positive_result", "recompute_result",
-        "trial_contribution", "omega_hat", "omega_hat_stratified",
+        "PositiveTrialResult", "positive_result", "trial_contribution",
+        "omega_hat", "omega_hat_stratified",
     ),
     "ledger": (
         "Ledger", "LedgerError", "LedgerCorruptError", "StratumSpec",

@@ -12,14 +12,13 @@ depend on summation order.  ``trial_contribution`` is the same rule for
 one trial, kept scalar for the ledger, which spends a trial at a time.
 
 Contributions are computed from h-values frozen at classification time,
-so ledger history never changes when the prior is refit; recomputation
-against a (possibly newer) model is available separately for audits.
+so ledger history never changes when the prior is refit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,17 +95,6 @@ def positive_result(
         h_values=tuple(h_values(model, zs)),
         stratum=trial.stratum,
     )
-
-
-def recompute_result(
-    trial: PositiveTrialResult, model
-) -> PositiveTrialResult:
-    """Audit utility: re-derive h values from the stored z under a model.
-
-    Returns a new result; the original (with its frozen h values) is
-    untouched.
-    """
-    return replace(trial, h_values=tuple(h_values(model, trial.z_values)))
 
 
 def trial_contribution(
@@ -187,24 +175,15 @@ def omega_hat(
 
 def omega_hat_stratified(
     positives_by_stratum: Mapping[str, Sequence[PositiveTrialResult]],
-    model_by_stratum: Optional[Mapping[str, object]] = None,
     endpoint_mode: str = "designated",
 ) -> Tuple[dict, float]:
-    """Per-stratum omega-hat and total.
-
-    When ``model_by_stratum`` is given, each stratum's h values are
-    recomputed against its own model (audit mode); a stratum without a
-    model is an error.  Otherwise the frozen h values are used.
+    """Per-stratum omega-hat, from the frozen h values, and total.
 
     Returns:
         (per_stratum, total).
     """
-    per_stratum = {}
-    for label, results in positives_by_stratum.items():
-        if model_by_stratum is not None:
-            if label not in model_by_stratum:
-                raise ValueError(f"missing model for stratum {label!r}")
-            model = model_by_stratum[label]
-            results = [recompute_result(t, model) for t in results]
-        per_stratum[label] = omega_hat(results, endpoint_mode=endpoint_mode)
+    per_stratum = {
+        label: omega_hat(results, endpoint_mode=endpoint_mode)
+        for label, results in positives_by_stratum.items()
+    }
     return per_stratum, math.fsum(per_stratum.values())

@@ -159,7 +159,7 @@ def _load_model(path) -> PriorModel:
 
     try:
         return PriorModel.from_json(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot load model {path}: {exc}") from exc
 
 
@@ -215,9 +215,11 @@ def _cmd_fit(args) -> int:
     from enfp.deconv import bootstrap, fit_g, fit_g_path, rho_from_g
     from enfp.records_io import extract_observations, load_records
 
+    cfg = _fit_config(args)
+    if args.bootstrap == 1 or args.bootstrap < 0:
+        raise UsageError("--bootstrap takes 0 (off) or at least 2 replicates")
     records = load_records(args.records, fmt=args.format)
     obs = extract_observations(records)
-    cfg = _fit_config(args)
     if args.penalty_path is not None:
         model = fit_g_path(obs, cfg, penalty_path=args.penalty_path)
     else:
@@ -270,11 +272,10 @@ def _band_arrays(model: PriorModel, grid):
     import numpy as np
 
     boot = model.diagnostics.get("bootstrap") or {}
-    if not boot.get("z_grid") or boot.get("h_low") is None:
+    if not boot.get("z_grid"):
         return None, None
-    bz = np.asarray(boot["z_grid"], dtype=float)
-    low = np.interp(grid, bz, np.asarray(boot["h_low"], dtype=float))
-    high = np.interp(grid, bz, np.asarray(boot["h_high"], dtype=float))
+    low = np.interp(grid, boot["z_grid"], boot["h_low"])
+    high = np.interp(grid, boot["z_grid"], boot["h_high"])
     return np.clip(low, 0.0, 1.0), np.clip(high, 0.0, 1.0)
 
 
@@ -653,7 +654,7 @@ def _cmd_simulate(args) -> int:
             cfg = ScenarioConfig.from_json(fh.read())
     except OSError as exc:
         raise DataError(f"cannot read scenario: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise DataError(f"invalid scenario: {exc}") from exc
     if args.replicates is not None:
         cfg = dataclasses.replace(cfg, replicates=args.replicates)

@@ -21,11 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from enfp import _fields
 from enfp.hcurve import ZERO_TOLERANCE, h_values
 from enfp.special import log_norm_pdf, norm_interval_prob
 
@@ -132,6 +133,9 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("grid_low", "grid_high", "grid_step", "penalty_c0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.grid_low < 0.0 < self.grid_high:
             raise ValueError("grid must satisfy grid_low < 0 < grid_high")
         if self.grid_step <= 0.0:
@@ -150,21 +154,19 @@ class FitConfig:
         return (k0 + np.arange(n_steps + 1)) * self.grid_step
 
     def to_dict(self) -> dict:
-        return {
-            "grid_low": self.grid_low,
-            "grid_high": self.grid_high,
-            "grid_step": self.grid_step,
-            "basis_df": self.basis_df,
-            "penalty_c0": self.penalty_c0,
-            "max_iterations": self.max_iterations,
-            "gradient_tolerance": self.gradient_tolerance,
-            "min_observations": self.min_observations,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FitConfig":
-        return cls(**data)
+        """Read a ``fit_config`` object strictly: a field has the type
+        of its default and takes it when absent; no other key is allowed."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key in _fields.document(data).keys() - defaults.keys():
+            raise ValueError(f"fit_config.{key}: unknown field")
+        return cls(**{
+            name: _fields.read(data, name, type(value), "fit_config.", value)
+            for name, value in defaults.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -233,56 +235,51 @@ class PriorModel:
     @property
     def model_id(self) -> str:
         """Stable 12-hex-digit content hash of grid and masses."""
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.theta_grid).tobytes())
-        digest.update(np.ascontiguousarray(self.masses).tobytes())
-        return digest.hexdigest()[:12]
+        return _content_id(self.theta_grid, self.masses)
 
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT,
-            "theta_grid": [float(t) for t in self.theta_grid],
-            "masses": [float(g) for g in self.masses],
-            "basis_df": self.basis_df,
-            "penalty_c0": self.penalty_c0,
-            "coefficients": (
-                None
-                if self.coefficients is None
-                else [float(a) for a in self.coefficients]
-            ),
-            "log_likelihood": self.log_likelihood,
-            "converged": self.converged,
-            "fit_config": (
-                None if self.fit_config is None else self.fit_config.to_dict()
-            ),
-            "diagnostics": _jsonable(self.diagnostics),
+            **_jsonable(asdict(self)),
             "model_id": self.model_id,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PriorModel":
-        fmt = data.get("format")
+        """Inverse of :meth:`to_dict`, reading every field strictly.
+        ``diagnostics`` is opaque but for the bootstrap bands.  A stored
+        ``model_id`` must hash the stored grid and masses, which the
+        model then keeps bit for bit, so its ``model_id`` survives."""
+        fmt = _fields.document(data).get("format")
         if fmt != MODEL_FORMAT:
             raise ValueError(f"unsupported model format: {fmt!r}")
-        return cls(
-            theta_grid=np.asarray(data["theta_grid"], dtype=float),
-            masses=np.asarray(data["masses"], dtype=float),
-            basis_df=int(data.get("basis_df", 0)),
-            penalty_c0=float(data.get("penalty_c0", 0.0)),
-            coefficients=(
-                None
-                if data.get("coefficients") is None
-                else np.asarray(data["coefficients"], dtype=float)
+        theta = np.array(_fields.numbers(data, "theta_grid"))
+        masses = np.array(_fields.numbers(data, "masses"))
+        stored_id = _fields.read(data, "model_id", str, default=None)
+        if stored_id not in (None, _content_id(theta, masses)):
+            raise ValueError(
+                f"model_id: {stored_id!r} is not the hash of the stored "
+                "theta_grid and masses"
+            )
+        config = _fields.read(data, "fit_config", dict, default=None)
+        model = cls(
+            theta_grid=theta,
+            masses=masses,
+            basis_df=_fields.read(data, "basis_df", int, default=0),
+            penalty_c0=_fields.read(data, "penalty_c0", float, default=0.0),
+            coefficients=_fields.numbers(data, "coefficients", "", None),
+            log_likelihood=_fields.read(
+                data, "log_likelihood", float, default=None
             ),
-            log_likelihood=data.get("log_likelihood"),
-            converged=bool(data.get("converged", True)),
-            fit_config=(
-                None
-                if data.get("fit_config") is None
-                else FitConfig.from_dict(data["fit_config"])
-            ),
-            diagnostics=dict(data.get("diagnostics", {})),
+            converged=_fields.read(data, "converged", bool, default=True),
+            fit_config=None if config is None else FitConfig.from_dict(config),
+            diagnostics=_read_diagnostics(data),
         )
+        if stored_id is not None:
+            # Renormalizing written masses can move their last bits.
+            masses.flags.writeable = False
+            object.__setattr__(model, "masses", masses)
+        return model
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -293,6 +290,33 @@ class PriorModel:
     def from_json(cls, path: str) -> "PriorModel":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _content_id(theta: np.ndarray, masses: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(theta).tobytes())
+    digest.update(np.ascontiguousarray(masses).tobytes())
+    return digest.hexdigest()[:12]
+
+
+def _read_diagnostics(data: dict) -> dict:
+    """A model's ``diagnostics``, opaque but for the bootstrap h bands:
+    none, or ``h_low`` and ``h_high`` in [0, 1] on an ascending
+    ``z_grid`` of their length."""
+    diagnostics = _fields.read(data, "diagnostics", dict, "", {})
+    where = "diagnostics.bootstrap."
+    boot = _fields.read(diagnostics, "bootstrap", dict, "diagnostics.", {})
+    z, low, high = (
+        _fields.numbers(boot, key, where, [])
+        for key in ("z_grid", "h_low", "h_high")
+    )
+    if not len(z) == len(low) == len(high):
+        raise ValueError(f"{where}h_low and h_high need one value per z")
+    if any(b <= a for a, b in zip(z, z[1:])):
+        raise ValueError(f"{where}z_grid must be strictly ascending")
+    if not all(0.0 <= h <= 1.0 for h in low + high):
+        raise ValueError(f"{where}h_low and h_high must lie in [0, 1]")
+    return dict(diagnostics)
 
 
 def _jsonable(obj):
@@ -711,28 +735,7 @@ class BootstrapResult:
     failed_replicates: Tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "replicates": self.replicates,
-            "n_converged": self.n_converged,
-            "n_failed": self.n_failed,
-            "rho_samples": [float(r) for r in self.rho_samples],
-            "rho_ci": [float(self.rho_ci[0]), float(self.rho_ci[1])],
-            "z_grid": (
-                None
-                if self.z_grid is None
-                else [float(z) for z in self.z_grid]
-            ),
-            "h_low": (
-                None if self.h_low is None else [float(v) for v in self.h_low]
-            ),
-            "h_high": (
-                None
-                if self.h_high is None
-                else [float(v) for v in self.h_high]
-            ),
-            "seed": self.seed,
-            "failed_replicates": list(self.failed_replicates),
-        }
+        return _jsonable(asdict(self))
 
 
 def bootstrap(

@@ -46,6 +46,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from enfp import _fields
 from enfp.freq_bounds import _exact, _read, _tau_from_sums, delta
 from enfp.trials import CannotClassifyError, FailureRegionType, TrialRecord
 
@@ -183,57 +184,63 @@ class Ledger:
     """
 
     def __init__(self, path, header: dict):
-        """Bind ``header``, refusing with LedgerError any header that
-        :meth:`create` would not write."""
-        if header.get("format") != LEDGER_FORMAT:
-            raise LedgerError(
-                f"unrecognized ledger format {header.get('format')!r}"
+        """Bind ``header``, read strictly, refusing with LedgerError any
+        header that :meth:`create` would not write."""
+        try:
+            _fields.read(header, "format", str, choices=(LEDGER_FORMAT,))
+            mode = _fields.read(
+                header, "mode", str, choices=("frequentist", "bayes")
             )
-        mode = header.get("mode")
-        if mode not in ("frequentist", "bayes"):
-            raise LedgerError(f"unknown ledger mode {mode!r}")
-        endpoint_mode = header.get("endpoint_mode", "designated")
-        if endpoint_mode not in ("designated", "tightest"):
-            raise LedgerError(f"unknown endpoint mode {endpoint_mode!r}")
-        if mode == "bayes" and not isinstance(header.get("model_id"), str):
-            raise LedgerError("bayes mode requires the prior model")
-        strata = header.get("strata")
-        if strata is None:
-            if "budget" not in header:
-                raise LedgerError("a ledger needs a budget or strata")
-            specs = {None: header}
-        elif "budget" in header or "rho_hat" in header:
-            raise LedgerError(
-                "give either a top-level budget or strata, not both"
+            endpoint_mode = _fields.read(
+                header, "endpoint_mode", str, "", "designated",
+                ("designated", "tightest"),
             )
-        elif not (isinstance(strata, dict) and strata):
-            raise LedgerError("strata mapping is empty")
-        else:
-            specs = strata
-        self._strata: dict = {}
-        for name, spec in specs.items():
-            checked = StratumSpec(
-                budget=float(spec["budget"]), rho_hat=spec.get("rho_hat")
-            )
-            if mode == "frequentist" and not checked.rho_hat:
-                # With rho_hat = 0 every delta is 0: tau stays 0 whatever
-                # is spent, and the remaining capacity divides by zero.
-                where = "" if name is None else f"stratum {name!r}: "
+            model_id = _fields.read(header, "model_id", str, default=None)
+            strata = _fields.read(header, "strata", dict, default=None)
+            if mode == "bayes" and model_id is None:
+                raise LedgerError("bayes mode requires the prior model")
+            if strata is None:
+                if "budget" not in header:
+                    raise LedgerError("a ledger needs a budget or strata")
+                specs = {None: header}
+            elif "budget" in header or "rho_hat" in header or not strata:
                 raise LedgerError(
-                    f"{where}frequentist mode requires rho_hat > 0"
+                    "give either a top-level budget or non-empty strata"
                 )
-            self._strata[name] = _StratumState(
-                budget=checked.budget, rho_hat=checked.rho_hat
-            )
+            else:
+                specs = strata
+            self._strata = {
+                name: self._stratum(mode, name, spec)
+                for name, spec in specs.items()
+            }
+        except ValueError as exc:
+            raise LedgerError(str(exc)) from exc
         self._path = os.fspath(path)
         self._header = header
         self._mode = mode
         self._endpoint_mode = endpoint_mode
-        self._model_id = header.get("model_id")
+        self._model_id = model_id
         self._stratified = strata is not None
         self._entries: list = []
         self._replay_stats = None
         self._fh = None
+
+    @staticmethod
+    def _stratum(mode: str, name, spec) -> _StratumState:
+        """The state of one stratum from its header object."""
+        where = "" if name is None else f"strata.{name}."
+        spec = _fields.document(spec, where)
+        checked = StratumSpec(
+            budget=_fields.read(spec, "budget", float, where),
+            rho_hat=_fields.read(spec, "rho_hat", float, where, None),
+        )
+        if mode == "frequentist" and not checked.rho_hat:
+            # With rho_hat = 0 every delta is 0: tau stays 0 whatever is
+            # spent, and the remaining capacity divides by zero.
+            raise LedgerError(
+                f"{where}rho_hat: frequentist mode requires rho_hat > 0"
+            )
+        return _StratumState(budget=checked.budget, rho_hat=checked.rho_hat)
 
     # ------------------------------------------------------------------
     # Construction
@@ -309,7 +316,7 @@ class Ledger:
         header = cls._parse_line(lines[0], 1)
         try:
             ledger = cls(path, header)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except LedgerError as exc:
             raise LedgerCorruptError(f"line 1: invalid header ({exc})") from exc
         for lineno, raw in enumerate(lines[1:], start=2):
             ledger._replay(cls._parse_line(raw, lineno), f"line {lineno}")

@@ -14,6 +14,8 @@ no p-value provenance.
 
 Both parsers round-trip losslessly: floats are emitted with shortest
 round-trip repr, so parse(emit(records)) reconstructs equal objects.
+One function, :func:`record_from_dict`, builds the records of both: the
+CSV reader hands it each trial's rows in the nested JSON form.
 
 A synthetic-corpus generator is included so the full estimation
 pipeline can be exercised without access to a proprietary historical
@@ -23,11 +25,14 @@ trial registry.
 from __future__ import annotations
 
 import csv
+import functools
 import json
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from enfp import _fields
 from enfp.trials import (
     EfficacyMeasure,
     FailureRegionType,
@@ -165,14 +170,10 @@ def records_to_csv(records: Iterable[TrialRecord], path: str) -> None:
                 writer.writerow(_measure_row(trial, meas))
 
 
-def _require_same(group: dict, key: str, value, row: int) -> None:
-    if key not in group:
-        group[key] = value
-    elif group[key] != value:
-        raise RecordParseError(
-            f"row {row}: column {key!r} disagrees with an earlier row of "
-            f"trial {group['trial_id']!r} ({value!r} vs {group[key]!r})"
-        )
+# The trial-level columns, which every row of a trial repeats.
+_TRIAL_COLUMNS = (
+    "m", "failure_type", "stratum", "outcome", "nominal_alpha", "h_floor"
+)
 
 
 def records_from_csv(path: str) -> Tuple[TrialRecord, ...]:
@@ -180,7 +181,8 @@ def records_from_csv(path: str) -> Tuple[TrialRecord, ...]:
 
     Rows belonging to one trial may appear anywhere in the file but
     must agree on the trial-level columns; every parse error names the
-    offending data row (the header is row 1).
+    offending data row (the header is row 1).  Each trial's rows become
+    the nested form that :func:`record_from_dict` reads.
 
     Raises:
         RecordParseError: on any malformed or inconsistent content.
@@ -195,58 +197,56 @@ def records_from_csv(path: str) -> Tuple[TrialRecord, ...]:
                 f"row 1: header is missing columns {missing}"
             )
         groups: dict = {}
-        order: List[str] = []
         for row_no, row in enumerate(reader, start=2):
             if row.get(None):
                 raise RecordParseError(
                     f"row {row_no}: more fields than header columns"
                 )
-            _ingest_csv_row(groups, order, row, row_no)
-    if not order:
+            _ingest_csv_row(groups, row, row_no)
+    if not groups:
         raise RecordParseError("row 1: file contains a header but no rows")
-    return tuple(_assemble_trial(groups[tid]) for tid in order)
+    return tuple(
+        record_from_dict(
+            _trial_dict(tid, group), f"row {group['row']}: trial {tid!r}"
+        )
+        for tid, group in groups.items()
+    )
 
 
-def _ingest_csv_row(groups, order, row, row_no: int) -> None:
+def _ingest_csv_row(groups: dict, row: dict, row_no: int) -> None:
+    """Parse one row's cells into its trial's group: the trial-level
+    cells, which must equal those of the trial's earlier rows, and one
+    measure with its critical value."""
     trial_id = (row["trial_id"] or "").strip()
     if not trial_id:
         raise RecordParseError(f"row {row_no}: empty trial_id")
-    if trial_id not in groups:
-        groups[trial_id] = {"trial_id": trial_id, "rows": []}
-        order.append(trial_id)
-    group = groups[trial_id]
-
-    m = _parse_int(row["m"], row_no, "m")
-    ft_text = (row["failure_type"] or "").strip().upper()
-    try:
-        ft = FailureRegionType(ft_text)
-    except ValueError:
-        raise RecordParseError(
-            f"row {row_no}: unknown failure_type {row['failure_type']!r}"
-        ) from None
-    stratum = (row["stratum"] or "").strip() or None
-    outcome = (row["outcome"] or "").strip() or None
-    if outcome is not None and outcome not in ("positive", "negative"):
-        raise RecordParseError(
-            f"row {row_no}: unknown outcome {outcome!r}"
-        )
-    _require_same(group, "m", m, row_no)
-    _require_same(group, "failure_type", ft, row_no)
-    _require_same(group, "stratum", stratum, row_no)
-    _require_same(group, "outcome", outcome, row_no)
-
     alpha = _parse_float(row["nominal_alpha"], row_no, "nominal_alpha")
     h_floor = _parse_float(row["h_floor"], row_no, "h_floor")
-    crit = _parse_float(row["critical_z"], row_no, "critical_z")
     if alpha is not None and h_floor is not None:
         raise RecordParseError(
             f"row {row_no}: both nominal_alpha and h_floor populated; "
             "a policy is one mode or the other"
         )
-    _require_same(group, "nominal_alpha", alpha, row_no)
-    _require_same(group, "h_floor", h_floor, row_no)
+    cells = (
+        _parse_int(row["m"], row_no, "m"),
+        (row["failure_type"] or "").strip().upper(),
+        (row["stratum"] or "").strip() or None,
+        (row["outcome"] or "").strip() or None,
+        alpha,
+        h_floor,
+    )
+    group = groups.get(trial_id)
+    if group is None:
+        group = groups[trial_id] = {"row": row_no, "cells": cells, "rows": []}
+    elif cells != group["cells"]:
+        for key, value, first in zip(_TRIAL_COLUMNS, cells, group["cells"]):
+            if value != first:
+                raise RecordParseError(
+                    f"row {row_no}: column {key!r} disagrees with an "
+                    f"earlier row of trial {trial_id!r} ({value!r} vs "
+                    f"{first!r})"
+                )
 
-    idx = _parse_int(row["endpoint_index"], row_no, "endpoint_index")
     z = _parse_float(row["z"], row_no, "z")
     p = _parse_float(row["p_value"], row_no, "p_value")
     censored = _parse_bool(row["censored"], row_no, "censored", False)
@@ -255,86 +255,53 @@ def _ingest_csv_row(groups, order, row, row_no: int) -> None:
         raise RecordParseError(
             f"row {row_no}: exactly one of z and p_value must be populated"
         )
-    try:
-        if censored:
-            if p is None:
-                raise RecordParseError(
-                    f"row {row_no}: censored rows carry the censoring "
-                    "p-value threshold in the p_value column"
-                )
-            meas = EfficacyMeasure.censored_at_p(idx, p)
-            if not direction:
-                meas = EfficacyMeasure(
-                    endpoint_index=idx,
-                    censor_interval=meas.censor_interval,
-                    direction_favorable=False,
-                    censor_p=meas.censor_p,
-                )
-        elif z is not None:
-            meas = EfficacyMeasure(
-                endpoint_index=idx, z=z, direction_favorable=direction
+    index = _parse_int(row["endpoint_index"], row_no, "endpoint_index")
+    if censored:
+        if p is None:
+            raise RecordParseError(
+                f"row {row_no}: censored rows carry the censoring "
+                "p-value threshold in the p_value column"
             )
-        else:
-            meas = EfficacyMeasure(
-                endpoint_index=idx,
-                z=p_to_z(p, direction),
-                direction_favorable=direction,
-            )
-    except RecordParseError:
-        raise
-    except ValueError as exc:
-        raise RecordParseError(f"row {row_no}: {exc}") from exc
-    group["rows"].append((row_no, meas, crit))
+        z = None
+    elif z is None:
+        try:
+            z, p = p_to_z(p, direction), None
+        except ValueError as exc:
+            raise RecordParseError(f"row {row_no}: {exc}") from exc
+    crit = _parse_float(row["critical_z"], row_no, "critical_z")
+    # A tuple per row, not the nested dict: the file's rows are all held
+    # until the last one is read.
+    group["rows"].append((index, direction, z, p, crit))
 
 
-def _assemble_trial(group: dict) -> TrialRecord:
-    rows = group["rows"]
-    trial_id = group["trial_id"]
-    first_row = rows[0][0]
-    indices = sorted(r[1].endpoint_index for r in rows)
-    if indices != list(range(1, group["m"] + 1)):
-        raise RecordParseError(
-            f"row {first_row}: trial {trial_id!r} needs endpoint_index "
-            f"1..{group['m']} exactly once, got {indices}"
-        )
-    rows = sorted(rows, key=lambda r: r[1].endpoint_index)
-    measures = tuple(r[1] for r in rows)
-    try:
-        if group["h_floor"] is not None:
-            policy = RejectionPolicy.at_h_floor(group["h_floor"])
-        else:
-            if group["nominal_alpha"] is None:
-                raise RecordParseError(
-                    f"row {first_row}: trial {trial_id!r} has neither "
-                    "nominal_alpha nor h_floor"
-                )
-            crits = []
-            for row_no, meas, crit in rows:
-                if crit is None:
-                    raise RecordParseError(
-                        f"row {row_no}: alpha-level rows need critical_z"
-                    )
-                crits.append(crit)
-            policy = RejectionPolicy(
-                mode="alpha_level",
-                per_endpoint_critical_z=tuple(crits),
-                nominal_alpha=group["nominal_alpha"],
-            )
-        return TrialRecord(
-            trial_id=trial_id,
-            m=group["m"],
-            failure_type=group["failure_type"],
-            measures=measures,
-            policy=policy,
-            stratum=group["stratum"],
-            outcome=group["outcome"],
-        )
-    except RecordParseError:
-        raise
-    except ValueError as exc:
-        raise RecordParseError(
-            f"row {first_row}: trial {trial_id!r}: {exc}"
-        ) from exc
+def _trial_dict(trial_id: str, group: dict) -> dict:
+    """The nested record form of one trial's parsed rows."""
+    m, failure_type, stratum, outcome, alpha, h_floor = group["cells"]
+    rows = sorted(group["rows"], key=lambda r: r[0])
+    return {
+        "trial_id": trial_id,
+        "m": m,
+        "failure_type": failure_type,
+        "stratum": stratum,
+        "outcome": outcome,
+        "policy": {
+            "mode": "alpha_level" if h_floor is None else "h_threshold",
+            "per_endpoint_critical_z": (
+                [row[4] for row in rows] if h_floor is None else []
+            ),
+            "nominal_alpha": alpha,
+            "h_floor": h_floor,
+        },
+        "measures": [
+            {
+                "endpoint_index": index,
+                "direction_favorable": direction,
+                "z": z,
+                "censor_p": censor_p,
+            }
+            for index, direction, z, censor_p, _ in rows
+        ],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -377,50 +344,60 @@ def record_to_dict(trial: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict, where: str = "trial") -> TrialRecord:
-    """Inverse of :func:`record_to_dict`.
+    """Inverse of :func:`record_to_dict`, reading every field strictly;
+    a censored measure given only its ``censor_p`` gets the band of
+    :meth:`EfficacyMeasure.censored_at_p`.
 
     Raises:
-        RecordParseError: naming ``where`` on malformed content.
+        RecordParseError: naming ``where`` and the field.
     """
     try:
-        pol = data["policy"]
-        policy = RejectionPolicy(
-            mode=pol["mode"],
-            per_endpoint_critical_z=tuple(
-                pol.get("per_endpoint_critical_z") or ()
-            ),
-            nominal_alpha=pol.get("nominal_alpha"),
-            h_floor=pol.get("h_floor"),
-        )
-        measures = tuple(
-            EfficacyMeasure(
-                endpoint_index=int(m_["endpoint_index"]),
-                z=m_.get("z"),
-                censor_interval=(
-                    None
-                    if m_.get("censor_interval") is None
-                    else tuple(m_["censor_interval"])
-                ),
-                direction_favorable=bool(
-                    m_.get("direction_favorable", True)
-                ),
-                censor_p=m_.get("censor_p"),
-            )
-            for m_ in data["measures"]
-        )
+        data = _fields.document(data)
+        measures = []
+        for i, meas in enumerate(_fields.read(data, "measures", list)):
+            at = f"measures[{i}]."
+            meas = _fields.document(meas, at)
+            index = _fields.read(meas, "endpoint_index", int, at)
+            flag = _fields.read(meas, "direction_favorable", bool, at, True)
+            z = _fields.read(meas, "z", _fields.NUMBER, at, None)
+            band = _fields.numbers(meas, "censor_interval", at, None, False)
+            censor_p = _fields.read(meas, "censor_p", float, at, None)
+            if z is None and band is None and censor_p is not None:
+                meas = EfficacyMeasure.censored_at_p(index, censor_p)
+                if not flag:
+                    meas = replace(meas, direction_favorable=False)
+            else:
+                band = None if band is None else tuple(band)
+                meas = EfficacyMeasure(index, z, band, flag, censor_p)
+            measures.append(meas)
+        policy = _fields.read(data, "policy", dict)
         return TrialRecord(
-            trial_id=str(data["trial_id"]),
-            m=int(data["m"]),
-            failure_type=FailureRegionType(data["failure_type"]),
-            measures=measures,
-            policy=policy,
-            stratum=data.get("stratum"),
-            outcome=data.get("outcome"),
+            trial_id=_fields.read(data, "trial_id", str),
+            m=_fields.read(data, "m", int),
+            failure_type=FailureRegionType[
+                _fields.read(data, "failure_type", str, choices=("A", "B"))
+            ],
+            measures=tuple(measures),
+            policy=_policy(
+                _fields.read(policy, "mode", str, "policy."),
+                tuple(
+                    _fields.numbers(
+                        policy, "per_endpoint_critical_z", "policy.", ()
+                    )
+                ),
+                _fields.read(policy, "nominal_alpha", float, "policy.", None),
+                _fields.read(policy, "h_floor", float, "policy.", None),
+            ),
+            stratum=_fields.read(data, "stratum", str, default=None),
+            outcome=_fields.read(data, "outcome", str, default=None),
         )
-    except RecordParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise RecordParseError(f"{where}: {exc}") from exc
+
+
+# One policy object per distinct policy: a file repeats a few, and a
+# policy is immutable, so its records share it.
+_policy = functools.lru_cache(maxsize=256)(RejectionPolicy)
 
 
 def records_to_json(records: Iterable[TrialRecord], path: str) -> None:
@@ -446,14 +423,17 @@ def records_from_json(path: str) -> Tuple[TrialRecord, ...]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise RecordParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "trials" not in payload:
-        raise RecordParseError("expected an object with a 'trials' list")
-    tag = payload.get("format", RECORDS_FORMAT)
+    try:
+        payload = _fields.document(payload)
+        tag = _fields.read(payload, "format", str, default=RECORDS_FORMAT)
+        trials = _fields.read(payload, "trials", list)
+    except ValueError as exc:
+        raise RecordParseError(str(exc)) from exc
     if tag != RECORDS_FORMAT:
         raise RecordParseError(f"unrecognized records format {tag!r}")
     return tuple(
         record_from_dict(item, where=f"trial #{i + 1}")
-        for i, item in enumerate(payload["trials"])
+        for i, item in enumerate(trials)
     )
 
 

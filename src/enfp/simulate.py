@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from enfp import _fields
 from enfp.bayes_bounds import _check_endpoint_mode, _omega_from_arrays
 from enfp.freq_bounds import _SUM_EXP, _exact, _read, _tau_from_arrays
 from enfp.hcurve import ZERO_TOLERANCE, h_values
@@ -69,6 +70,14 @@ _POLICY_KINDS = ("fixed_alpha", "signal_concordant", "adversarial")
 # concordance checks and the validate_bounds margins.  The mean checks do
 # not rely on it, since _mean_check returns a constant alpha exactly.
 _EQ_SLACK = 1e-12
+
+
+def _normalizer(values) -> float:
+    """What to divide ``values`` by to make them sum to one: their
+    ``fsum``, or 1 when that is within rounding of one.  So normalizing
+    twice changes nothing, and a written scenario reads back equal."""
+    total = math.fsum(values)
+    return 1.0 if abs(total - 1.0) <= 1e-12 else total
 
 
 @dataclass(frozen=True)
@@ -112,10 +121,12 @@ class PolicySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolicySpec":
+        """Read a scenario's ``policy`` object strictly."""
+        where = "policy."
         return cls(
-            kind=data["kind"],
-            alpha_menu=tuple(data["alpha_menu"]),
-            signal_noise=data.get("signal_noise", 1.0),
+            kind=_fields.read(_fields.document(data), "kind", str, where),
+            alpha_menu=tuple(_fields.numbers(data, "alpha_menu", where)),
+            signal_noise=_fields.read(data, "signal_noise", float, where, 1.0),
         )
 
 
@@ -148,7 +159,7 @@ class ScenarioConfig:
             raise ValueError("prior support must be finite")
         if any(p < 0 for p in mass):
             raise ValueError("prior masses must be nonnegative")
-        total = math.fsum(mass)
+        total = _normalizer(mass)
         if not total > 0:
             raise ValueError("prior masses sum to zero")
         merged_prior: dict = {}
@@ -160,8 +171,8 @@ class ScenarioConfig:
 
         if not (isinstance(self.n_trials, int) and self.n_trials >= 1):
             raise ValueError("n_trials must be an integer >= 1")
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)):
-            raise ValueError("seed is mandatory and must be an integer")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed is mandatory and must be an integer >= 0")
         if not (isinstance(self.replicates, int) and self.replicates >= 1):
             raise ValueError("replicates must be an integer >= 1")
         rc = float(self.endpoint_correlation)
@@ -181,7 +192,7 @@ class ScenarioConfig:
             if m == 1:
                 t = FailureRegionType.B
             merged[(m, t)] = merged.get((m, t), 0.0) + prob
-        total = math.fsum(merged.values())
+        total = _normalizer(merged.values())
         if not total > 0:
             raise ValueError("m_distribution probabilities sum to zero")
         dist = tuple(
@@ -220,20 +231,40 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        tag = data.get("format", SCENARIO_FORMAT)
+        """Inverse of :meth:`to_dict`, reading every field strictly."""
+        data = _fields.document(data)
+        tag = _fields.read(data, "format", str, default=SCENARIO_FORMAT)
         if tag != SCENARIO_FORMAT:
             raise ValueError(f"unrecognized scenario format {tag!r}")
-        prior = data["true_prior"]
+        prior = _fields.read(data, "true_prior", dict)
+        designs = []
+        for i, row in enumerate(_fields.read(data, "m_distribution", list)):
+            where = f"m_distribution[{i}]."
+            if type(row) is not list or len(row) != 3:
+                raise ValueError(
+                    f"{where[:-1]}: expected [m, failure_type, probability]"
+                )
+            row = dict(zip(("m", "failure_type", "probability"), row))
+            designs.append((
+                _fields.read(row, "m", int, where),
+                _fields.read(
+                    row, "failure_type", str, where, choices=("A", "B")
+                ),
+                _fields.read(row, "probability", float, where),
+            ))
         return cls(
-            true_prior=(tuple(prior["theta"]), tuple(prior["mass"])),
-            n_trials=int(data["n_trials"]),
-            m_distribution=tuple(
-                (int(m), t, float(p)) for m, t, p in data["m_distribution"]
+            true_prior=(
+                tuple(_fields.numbers(prior, "theta", "true_prior.")),
+                tuple(_fields.numbers(prior, "mass", "true_prior.")),
             ),
-            endpoint_correlation=float(data.get("endpoint_correlation", 0.0)),
-            policy=PolicySpec.from_dict(data["policy"]),
-            seed=int(data["seed"]),
-            replicates=int(data.get("replicates", 1)),
+            n_trials=_fields.read(data, "n_trials", int),
+            m_distribution=tuple(designs),
+            endpoint_correlation=_fields.read(
+                data, "endpoint_correlation", float, default=0.0
+            ),
+            policy=PolicySpec.from_dict(_fields.read(data, "policy", dict)),
+            seed=_fields.read(data, "seed", int),
+            replicates=_fields.read(data, "replicates", int, default=1),
         )
 
     def to_json(self, indent: int = 2) -> str:

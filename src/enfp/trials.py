@@ -283,7 +283,8 @@ class TrialRecord:
         object.__setattr__(self, "measures", measures)
         if len(measures) != self.m:
             raise ValueError(
-                f"expected {self.m} measures, got {len(measures)}"
+                f"expected {self.m} measures (endpoint_index 1..{self.m}), "
+                f"got {len(measures)}"
             )
         indices = sorted(meas.endpoint_index for meas in measures)
         if indices != list(range(1, self.m + 1)):

@@ -13,7 +13,6 @@ from enfp.bayes_bounds import (
     omega_hat,
     omega_hat_stratified,
     positive_result,
-    recompute_result,
     trial_contribution,
 )
 from enfp.deconv import PriorModel
@@ -190,25 +189,6 @@ class TestFrozenHValues:
 
         assert res.h_values == (h_probability(model, 2.5),)
 
-    def test_recompute_result_is_an_audit_copy(self):
-        model_a = _two_point_model(mass_neg=0.5)
-        model_b = _two_point_model(mass_neg=0.1)
-        policy = RejectionPolicy.at_alpha(0.025, m=1, failure_type=B)
-        trial = TrialRecord(
-            trial_id="rx-3",
-            m=1,
-            failure_type=B,
-            measures=(EfficacyMeasure(endpoint_index=1, z=2.0),),
-            policy=policy,
-            outcome="positive",
-        )
-        frozen = positive_result(trial, model_a)
-        audited = recompute_result(frozen, model_b)
-        assert frozen.h_values != audited.h_values
-        assert audited.z_values == frozen.z_values
-        # Original result is untouched (frozen dataclass, new object).
-        assert frozen.h_values[0] == positive_result(trial, model_a).h_values[0]
-
 
 class TestStratified:
     def test_additive_across_strata(self):
@@ -235,39 +215,6 @@ class TestStratified:
         )
         assert per["a"] == 0.0
         assert_allclose(total, 0.1, atol=1e-12)
-
-    def test_per_stratum_models_recompute(self):
-        model_a = _two_point_model(mass_neg=0.5)
-        model_b = _two_point_model(mass_neg=0.1)
-        policy = RejectionPolicy.at_alpha(0.025, m=1, failure_type=B)
-
-        def make_trial(tid, stratum):
-            return TrialRecord(
-                trial_id=tid,
-                m=1,
-                failure_type=B,
-                measures=(EfficacyMeasure(endpoint_index=1, z=2.0),),
-                policy=policy,
-                stratum=stratum,
-                outcome="positive",
-            )
-
-        res_a = positive_result(make_trial("t1", "a"), model_a)
-        res_b = positive_result(make_trial("t2", "b"), model_a)
-        per, _ = omega_hat_stratified(
-            {"a": [res_a], "b": [res_b]},
-            model_by_stratum={"a": model_a, "b": model_b},
-        )
-        # Stratum b was recomputed under its own prior, so contributions differ
-        # even though the frozen inputs were identical.
-        assert per["a"] != per["b"]
-
-    def test_missing_model_errors_in_audit_mode(self):
-        results = {"a": [_result("t", 1, B, [2.0], [0.9])]}
-        with pytest.raises(ValueError):
-            omega_hat_stratified(
-                results, model_by_stratum={"other": _two_point_model()}
-            )
 
 
 class TestValidation:
