@@ -26,7 +26,9 @@ _EXPECTED = {
 }
 
 
-def _error(path: str, value, expected: str) -> ValueError:
+def error(path: str, value, expected: str) -> ValueError:
+    """The error of a field at ``path`` that holds ``value`` where
+    ``expected`` was due."""
     if value is REQUIRED:
         got = "nothing"
     elif isinstance(value, (dict, list)):
@@ -35,7 +37,8 @@ def _error(path: str, value, expected: str) -> ValueError:
     elif isinstance(value, str):
         got = repr(value)[:40]
     else:
-        got = json.dumps(value)  # null, true, NaN, Infinity, 2.5
+        # null, true, NaN, Infinity, 2.5, and a live numpy value's repr
+        got = json.dumps(value, default=repr)
     at = f"{path}: " if path else ""
     return ValueError(f"{at}expected {expected}, got {got}")
 
@@ -53,7 +56,7 @@ def _float(value, finite: bool):
 def document(value, where: str = "") -> dict:
     """A parsed document, or the object at path ``where``."""
     if type(value) is not dict:
-        raise _error(where[:-1], value, "an object")
+        raise error(where[:-1], value, "an object")
     return value
 
 
@@ -61,8 +64,11 @@ def read(data: dict, key, kind, where="", default=REQUIRED, choices=None):
     """``data[key]`` as a ``kind``: int, bool, float (finite), NUMBER,
     str (non-empty, and one of ``choices`` if given), dict or list."""
     value = data.get(key)
-    if type(value) is kind and kind is not float:
-        if value != "" and (choices is None or value in choices):
+    if type(value) is kind:
+        if kind is float:
+            if value - value == 0.0:  # finite: inf - inf and NaN are NaN
+                return value
+        elif value != "" and (choices is None or value in choices):
             return value
     elif value is None and default is not REQUIRED:
         return default
@@ -73,7 +79,7 @@ def read(data: dict, key, kind, where="", default=REQUIRED, choices=None):
     elif kind is int and type(value) is float and value.is_integer():
         return int(value)
     expected = f"one of {choices}" if choices else _EXPECTED[kind]
-    raise _error(where + key, data.get(key, REQUIRED), expected)
+    raise error(where + key, data.get(key, REQUIRED), expected)
 
 
 def numbers(data: dict, key, where="", default=REQUIRED, finite=True):
@@ -81,9 +87,12 @@ def numbers(data: dict, key, where="", default=REQUIRED, finite=True):
     values = read(data, key, list, where, default)
     if values is default:
         return default
-    out = [_float(v, finite) for v in values]
+    out = [
+        v if type(v) is float and v - v == 0.0 else _float(v, finite)
+        for v in values
+    ]
     if None in out:
         i = out.index(None)
         expected = _EXPECTED[float if finite else NUMBER]
-        raise _error(f"{where}{key}[{i}]", values[i], expected)
+        raise error(f"{where}{key}[{i}]", values[i], expected)
     return out

@@ -70,19 +70,13 @@ class PositiveTrialResult:
             )
 
 
-def positive_result(
-    trial: TrialRecord, model, *, require_positive: bool = True
-) -> PositiveTrialResult:
+def positive_result(trial: TrialRecord, model) -> PositiveTrialResult:
     """Freeze a positive trial's (z, h) values against the given model.
 
-    ``require_positive=False`` freezes any trial with exact z values, as
-    a post-hoc adjustment needs.
-
     Raises:
-        ValueError: if ``require_positive`` and the trial is not
-            classified positive.
+        ValueError: if the trial is not classified positive.
     """
-    if require_positive and trial.outcome != "positive":
+    if trial.outcome != "positive":
         raise ValueError(
             f"trial {trial.trial_id} is not classified positive"
         )

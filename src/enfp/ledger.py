@@ -15,14 +15,15 @@ pinning the format version, mode, budgets, and the estimated null rate
 facts (a design, or an outcome with its frozen z and h values) and the
 numbers derived from them and the running state: ``projected`` for a
 proposal, ``spend_delta`` and ``spent_after`` for an outcome or
-adjustment.  One step derives those numbers and the state update.  A
-live operation calls it once and stores what it gives; reopening a
-ledger calls it for every line and marks the file corrupt unless every
-stored number equals it, so the replayed state is the live state.
-Non-finite numbers are refused: the file is strict JSON.  The Bayesian
-rules (``enfp.bayes_bounds``, and with them numpy) load only where a
-Bayesian entry is frozen or replayed, so a frequentist ledger runs on
-exact integer sums alone.
+adjustment.  One step reads the facts strictly (``enfp._fields``) and
+derives those numbers and the state update.  A live operation calls it
+once and stores what it gives; reopening a ledger calls it for every
+line, reads the stored numbers as strictly and marks the file corrupt
+unless each equals the derived one.  So replay refuses, naming the line
+and the field, any line the live path would not write.  Non-finite
+numbers are refused: the file is strict JSON.  ``enfp.hcurve`` and
+``enfp.bayes_bounds`` (and numpy) load only where a Bayesian entry
+spends, so a frequentist ledger runs on exact integer sums alone.
 
 Running sums are exact.  Each stratum keeps its sums of deltas, alphas
 and contributions as the exact integers of ``enfp.freq_bounds`` and
@@ -40,8 +41,10 @@ locking is out of scope.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -140,21 +143,17 @@ class _StratumState:
     n_positive: int = 0
     n_adjustments: int = 0
 
-    def projected(
-        self, d: float | None = None, alpha: float | None = None
-    ) -> float:
+    def projected(self, d: int = 0, alpha: int = 0, n: int = 0) -> float:
         """Frequentist spend (sum delta)(sum alpha)/n over the accepted
-        designs, plus the design (d, alpha) when given; 0 with none."""
-        n, sum_delta, sum_alpha = self.n_accepted, self.sum_delta, self.sum_alpha
-        if d is not None:
-            n += 1
-            sum_delta += _exact(d)
-            sum_alpha += _exact(alpha)
-        return _tau_from_sums(sum_delta, sum_alpha, n)
+        designs plus ``n`` more, of exact sums ``d`` and ``alpha``; 0
+        with none."""
+        return _tau_from_sums(
+            self.sum_delta + d, self.sum_alpha + alpha, self.n_accepted + n
+        )
 
-    def accept(self, d: float, alpha: float) -> None:
-        self.sum_delta += _exact(d)
-        self.sum_alpha += _exact(alpha)
+    def accept(self, d: int, alpha: int) -> None:
+        self.sum_delta += d
+        self.sum_alpha += alpha
         self.n_accepted += 1
 
     def bayes_spent(self, contribution: float = 0.0) -> float:
@@ -164,6 +163,78 @@ class _StratumState:
     def spend(self, contribution: float) -> None:
         self.sum_contribution += _exact(contribution)
         self.contributions.append(contribution)
+
+
+def _facts(entry: dict, endpoint_mode: str | None) -> tuple:
+    """``(kind, stratum, note, m, t, alpha, outcome, spend)`` of an entry,
+    read strictly, where ``spend`` is the contribution of an entry that
+    spends in a Bayesian ledger of ``endpoint_mode`` (None in a
+    frequentist one), and None is a fact an entry lacks.  Raises
+    LedgerError naming the field (``payload.alpha: ...``)."""
+    alpha = outcome = spend = None
+    try:
+        kind = _fields.read(
+            entry, "kind", str, choices=("proposal", "outcome", "adjustment")
+        )
+        trial_id = _fields.read(entry, "trial_id", str)
+        stratum = _fields.read(entry, "stratum", str, default=None)
+        note = _fields.read(entry, "note", str, default=None)
+        payload = _fields.read(entry, "payload", dict)
+        m = _fields.read(payload, "m", int, "payload.")
+        if m < 1:
+            raise _fields.error("payload.m", m, "an integer >= 1")
+        t = _fields.read(payload, "t", str, "payload.", choices=("A", "B"))
+        if kind == "proposal":
+            alpha = _fields.read(payload, "alpha", float, "payload.")
+            if not 0.0 < alpha < 1.0:
+                raise _fields.error(
+                    "payload.alpha", alpha, "a number in (0, 1)"
+                )
+        else:
+            outcome = _fields.read(
+                payload, "outcome", str, "payload.",
+                None if kind == "adjustment" else _fields.REQUIRED,
+                ("positive", "negative"),
+            )
+            spends = endpoint_mode is not None and (
+                kind == "adjustment" or outcome == "positive"
+            )
+            z = _fields.numbers(
+                payload, "z", "payload.", _fields.REQUIRED if spends else None
+            )
+            if spends:
+                from enfp.bayes_bounds import (
+                    PositiveTrialResult,
+                    trial_contribution,
+                )
+
+                # It checks the lengths of z and h, and h's range.
+                frozen = PositiveTrialResult(
+                    trial_id, m, FailureRegionType[t], z,
+                    _fields.numbers(payload, "h", "payload."), stratum,
+                )
+                spend = trial_contribution(frozen, endpoint_mode)
+    except ValueError as exc:
+        raise LedgerError(str(exc)) from exc
+    return kind, stratum, note, m, t, alpha, outcome, spend
+
+
+@functools.lru_cache(maxsize=1024)
+def _exact_design(rho: float, m: int, t: str, alpha: float) -> tuple:
+    """A design's delta and alpha as exact integers, which projecting
+    and accepting it add.  Designs repeat, so each converts once."""
+    return _exact(delta(rho, m, FailureRegionType(t))), _exact(alpha)
+
+
+def _stored(entry: dict, keys) -> list:
+    """The sequence, and the numbers at ``keys``, a stored entry holds."""
+    try:
+        return [
+            _fields.read(entry, key, int if key == "sequence" else float)
+            for key in ("sequence", *keys)
+        ]
+    except ValueError as exc:
+        raise LedgerError(str(exc)) from exc
 
 
 def _stratum_fields(spec) -> dict:
@@ -342,15 +413,17 @@ class Ledger:
         Rejection appends nothing and mutates nothing.
         """
         self._require_open()
-        try:
-            t = FailureRegionType(t)
-        except ValueError as exc:
-            raise LedgerError(str(exc)) from exc
+        try:  # as TrialSpec takes it; the entry reader refuses a bool
+            m = m if isinstance(m, bool) else operator.index(m)
+        except TypeError:
+            raise LedgerError(f"m: expected an integer, got {m!r}") from None
         entry = {
             "kind": "proposal",
-            "trial_id": str(trial_id),
+            "trial_id": trial_id,
             "stratum": stratum,
-            "payload": {"m": m, "t": t.value, "alpha": float(alpha)},
+            "payload": {
+                "m": m, "t": getattr(t, "value", t), "alpha": float(alpha)
+            },
             "note": None,
         }
         state, numbers, apply = self._derive(entry)
@@ -536,7 +609,7 @@ class Ledger:
             )
         return view
 
-    def _freeze(self, trial: TrialRecord, model):
+    def _freeze(self, trial: TrialRecord, model) -> dict:
         if model is None:
             raise LedgerError(
                 "bayes mode requires the prior model to freeze h values"
@@ -546,11 +619,12 @@ class Ledger:
                 f"model {model.model_id} does not match the pinned model "
                 f"{self._model_id}"
             )
-        from enfp.bayes_bounds import positive_result
+        from enfp.hcurve import h_values
 
         # Adjustments may rescue trials that missed their pre-registered
-        # threshold, so freezing skips the positive-outcome gate.
-        return positive_result(trial, model, require_positive=False)
+        # threshold, so any trial with exact z values is frozen.
+        z = [float(value) for value in trial.z_values()]
+        return {"z": z, "h": h_values(model, z).tolist()}
 
     def _resolve_stratum(self, stratum) -> _StratumState:
         if self._stratified:
@@ -574,63 +648,37 @@ class Ledger:
         ``{"projected": ...}`` for a proposal, or ``{"spend_delta": ...,
         "spent_after": ...}`` for an outcome or adjustment; and a
         function that applies the entry to the state.  An entry that
-        breaks a rule of the ledger raises LedgerError.
+        breaks a rule of the ledger, or that :func:`_facts` cannot read,
+        raises LedgerError.
         """
-        kind = entry.get("kind")
-        payload = entry["payload"]
+        kind, stratum, note, m, t, alpha, outcome, spend = _facts(
+            entry, self._endpoint_mode if self._mode == "bayes" else None
+        )
         if kind == "proposal":
             if self._mode != "frequentist":
                 raise LedgerError("propose is a frequentist-mode operation")
-            m, alpha = payload["m"], float(payload["alpha"])
-            if not (isinstance(m, int) and not isinstance(m, bool) and m >= 1):
-                raise LedgerError("m must be an integer >= 1")
-            if not 0.0 < alpha < 1.0:
-                raise LedgerError("alpha must lie in (0, 1)")
-            state = self._resolve_stratum(entry.get("stratum"))
-            d = delta(state.rho_hat, m, FailureRegionType(payload["t"]))
+            state = self._resolve_stratum(stratum)
+            d, a = _exact_design(state.rho_hat, m, t, alpha)
             return (
                 state,
-                {"projected": state.projected(d, alpha)},
-                lambda: state.accept(d, alpha),
+                {"projected": state.projected(d, a, 1)},
+                lambda: state.accept(d, a),
             )
         if kind == "adjustment":
             if self._mode != "bayes":
                 raise LedgerError("adjustments are a bayes-mode operation")
-            note = entry.get("note")
-            if not (isinstance(note, str) and note.strip()):
+            if not (note and note.strip()):
                 raise LedgerError("an adjustment requires a non-empty note")
-        elif kind != "outcome":
-            raise LedgerError(f"unknown entry kind {kind!r}")
-        elif payload.get("outcome") is None:
-            raise LedgerError(
-                f"trial {entry.get('trial_id')} has no recorded outcome"
-            )
-        state = self._resolve_stratum(entry.get("stratum"))
-        positive = payload.get("outcome") == "positive"
-        spends = kind == "adjustment" or (self._mode == "bayes" and positive)
-        if spends:
-            from enfp.bayes_bounds import PositiveTrialResult, trial_contribution
-
-            frozen = PositiveTrialResult(
-                trial_id=str(entry.get("trial_id")),
-                m=int(payload["m"]),
-                failure_type=FailureRegionType(payload["t"]),
-                z_values=payload["z"],
-                h_values=payload["h"],
-                stratum=entry.get("stratum"),
-            )
-            spend_delta = trial_contribution(frozen, self._endpoint_mode)
-            spent_after = state.bayes_spent(spend_delta)
+        state = self._resolve_stratum(stratum)
+        positive = outcome == "positive"
+        spend_delta = 0.0 if spend is None else spend
+        if self._mode == "frequentist":
+            spent_after = state.projected()
         else:
-            spend_delta = 0.0
-            spent_after = (
-                state.projected()
-                if self._mode == "frequentist"
-                else state.bayes_spent()
-            )
+            spent_after = state.bayes_spent(spend_delta)
 
         def apply() -> None:
-            if spends:
+            if spend is not None:
                 state.spend(spend_delta)
             if kind == "adjustment":
                 state.n_adjustments += 1
@@ -654,8 +702,8 @@ class Ledger:
         self._require_open()
         entries = [self._entry(kind, trial, model, note) for trial in trials]
         for entry in entries:
-            self._derive(entry)
             self._encode_line(entry)
+            self._derive(entry)
         return [self._append(entry) for entry in entries]
 
     def _append(self, entry: dict) -> OutcomeRecord:
@@ -679,9 +727,7 @@ class Ledger:
         if self._mode == "bayes" and (
             kind == "adjustment" or trial.outcome == "positive"
         ):
-            result = self._freeze(trial, model)
-            payload["z"] = list(result.z_values)
-            payload["h"] = list(result.h_values)
+            payload.update(self._freeze(trial, model))
         else:
             try:
                 payload["z"] = [float(z) for z in trial.z_values()]
@@ -689,7 +735,7 @@ class Ledger:
                 payload["z"] = None
         return {
             "kind": kind,
-            "trial_id": str(trial.trial_id),
+            "trial_id": trial.trial_id,
             "stratum": trial.stratum,
             "payload": payload,
             "note": note,
@@ -712,29 +758,23 @@ class Ledger:
         """Apply a stored entry once its sequence follows on and every
         number it stores equals the one :meth:`_derive` gives."""
         expected = len(self._entries) + 1
-        if entry.get("sequence") != expected:
-            raise LedgerCorruptError(
-                f"{where}: sequence {entry.get('sequence')!r} breaks "
-                f"contiguity (expected {expected})"
-            )
         try:
             state, numbers, apply = self._derive(entry)
+            sequence, *stored = _stored(entry, numbers)
+            if sequence != expected:
+                raise LedgerError(
+                    f"sequence {sequence} breaks contiguity (expected "
+                    f"{expected})"
+                )
+            for (key, value), got in zip(numbers.items(), stored):
+                if got != value:
+                    raise LedgerError(
+                        f"stored {key} {got!r} does not replay ({value!r})"
+                    )
+            if numbers.get("projected", 0.0) > state.budget:
+                raise LedgerError("accepted proposal exceeds the budget")
         except LedgerError as exc:
             raise LedgerCorruptError(f"{where}: {exc}") from exc
-        except (
-            AttributeError, KeyError, OverflowError, TypeError, ValueError
-        ) as exc:
-            raise LedgerCorruptError(f"{where}: malformed entry ({exc})") from exc
-        for key, value in numbers.items():
-            if entry.get(key) != value:
-                raise LedgerCorruptError(
-                    f"{where}: stored {key} {entry.get(key)!r} does not "
-                    f"replay ({value!r})"
-                )
-        if numbers.get("projected", 0.0) > state.budget:
-            raise LedgerCorruptError(
-                f"{where}: accepted proposal exceeds the budget"
-            )
         apply()
         self._entries.append(entry)
 

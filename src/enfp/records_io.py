@@ -278,6 +278,10 @@ def _trial_dict(trial_id: str, group: dict) -> dict:
     """The nested record form of one trial's parsed rows."""
     m, failure_type, stratum, outcome, alpha, h_floor = group["cells"]
     rows = sorted(group["rows"], key=lambda r: r[0])
+    crits = [row[4] for row in rows]
+    if h_floor is not None:
+        # An h-threshold row leaves its critical_z cell empty.
+        crits = [c for c in crits if c is not None]
     return {
         "trial_id": trial_id,
         "m": m,
@@ -286,9 +290,7 @@ def _trial_dict(trial_id: str, group: dict) -> dict:
         "outcome": outcome,
         "policy": {
             "mode": "alpha_level" if h_floor is None else "h_threshold",
-            "per_endpoint_critical_z": (
-                [row[4] for row in rows] if h_floor is None else []
-            ),
+            "per_endpoint_critical_z": crits,
             "nominal_alpha": alpha,
             "h_floor": h_floor,
         },

@@ -212,6 +212,11 @@ class RejectionPolicy:
                 raise ValueError("h_threshold mode requires h_floor")
             if not 0.0 < self.h_floor < 1.0:
                 raise DomainError("h_floor must lie in (0, 1)")
+            if self.per_endpoint_critical_z:
+                raise ValueError(
+                    "policy.per_endpoint_critical_z must be empty in "
+                    "h_threshold mode"
+                )
         crits = tuple(float(c) for c in self.per_endpoint_critical_z)
         for j, c in enumerate(crits, start=1):
             if math.isnan(c):

@@ -16,6 +16,7 @@ from enfp.bayes_bounds import (
     trial_contribution,
 )
 from enfp.deconv import PriorModel
+from enfp.ledger import Ledger
 from enfp.trials import (
     EfficacyMeasure,
     FailureRegionType,
@@ -170,7 +171,7 @@ class TestFrozenHValues:
         assert res.h_values[0] == h_probability(model, 2.5)
         assert res.z_values == (2.5,)
 
-    def test_positive_result_requires_positive_outcome(self):
+    def test_positive_result_requires_positive_outcome(self, tmp_path):
         model = _two_point_model()
         policy = RejectionPolicy.at_alpha(0.025, m=1, failure_type=B)
         trial = TrialRecord(
@@ -183,11 +184,16 @@ class TestFrozenHValues:
         )
         with pytest.raises(ValueError):
             positive_result(trial, model)
-        # Adjustments freeze any trial: the gate is the only difference.
-        res = positive_result(trial, model, require_positive=False)
-        from enfp.hcurve import h_probability
+        # An adjustment freezes any trial with exact z values.
+        path = tmp_path / "b.jsonl"
+        with Ledger.create(path, "bayes", budget=1.0, model=model) as led:
+            led.record_adjustment(trial, model, "post-hoc rescue")
+            (entry,) = led.entries()
+        from enfp.hcurve import h_probability, h_values
 
-        assert res.h_values == (h_probability(model, 2.5),)
+        assert entry["payload"]["z"] == [2.5]
+        assert entry["payload"]["h"] == list(h_values(model, [2.5]))
+        assert entry["payload"]["h"] == [h_probability(model, 2.5)]
 
 
 class TestStratified:

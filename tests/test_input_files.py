@@ -9,7 +9,9 @@ changed in type, dropped, or set to NaN, an infinity, a bool or an
 out-of-range value, and the command that reads that file runs in-process
 through ``cli.main``.  It must exit 2 with exactly one ``enfp: error:``
 line on stderr, or succeed with the stdout of the unmutated file; it
-must never raise.  Each fuzz test runs a fixed, derandomized sample.
+must never raise.  A ledger entry allows less: a typed field that takes
+another type or an out-of-range value must be refused, naming the line
+and the field.  Each fuzz test runs a fixed, derandomized sample.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 from enfp import cli
 from enfp.deconv import FitConfig, PriorModel, fit_g
-from enfp.ledger import Ledger
+from enfp.ledger import Ledger, LedgerCorruptError
 from enfp.records_io import (
     extract_observations,
     record_to_dict,
@@ -514,3 +517,163 @@ def ledger_fuzz(workdir):
 @given(st.data())
 def test_fuzz_ledger_header(ledger_fuzz, data):
     ledger_fuzz.check(*data.draw(st.sampled_from(ledger_fuzz.cases)))
+
+
+def entry_fuzz(path, write_ledger, out_of_range):
+    """A Fuzz of the entry lines of the ledger ``write_ledger`` writes at
+    ``path``: its document is the list of entries, so that a case's path
+    starts with the index of the entry on line index + 2."""
+    write_ledger(path)
+    header, *lines = path.read_text().splitlines()
+
+    def write(p, entries):
+        p.write_text("\n".join([header, *map(json.dumps, entries)]) + "\n")
+
+    fuzz = Fuzz(
+        path, [json.loads(line) for line in lines], ["ledger", "status", path],
+        out_of_range, write,
+    )
+    fuzz.cases = [(p, new) for p, new in fuzz.cases if p]
+    return fuzz
+
+
+def write_freq_ledger(path):
+    with Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09) as led:
+        led.propose("t-001", 1, B, 0.025)
+        led.propose("t-002", 2, A, 0.05, stratum="us")
+        led.propose("t-003", 3, B, 0.01)
+
+
+def ledger_trial(trial_id, zs, outcome):
+    m = len(zs)
+    measures = tuple(EfficacyMeasure(j + 1, z=z) for j, z in enumerate(zs))
+    return TrialRecord(
+        trial_id, m, B, measures, RejectionPolicy.at_alpha(0.025, m, B),
+        outcome=outcome,
+    )
+
+
+def write_bayes_ledger(path):
+    """A positive m=2 type-B outcome, a positive and a negative m=1
+    outcome, and an adjustment."""
+    grid = np.linspace(-3.0, 5.0, 17)
+    model = PriorModel.from_masses(grid, np.exp(-0.5 * (grid - 1.0) ** 2))
+    with Ledger.create(path, "bayes", budget=1.0, model=model) as led:
+        led.record_outcomes(
+            [
+                ledger_trial("b-1", [3.2, 2.4], "positive"),
+                ledger_trial("b-2", [2.9], "positive"),
+                ledger_trial("b-3", [1.1], "negative"),
+            ],
+            model,
+        )
+        led.record_adjustment(
+            ledger_trial("b-4", [1.8], "negative"), model, "post-hoc rescue"
+        )
+
+
+@pytest.fixture(scope="module")
+def freq_entry_fuzz(workdir):
+    return entry_fuzz(
+        workdir / "freq.jsonl", write_freq_ledger,
+        {"*.payload.m": [0, -1], "*.payload.alpha": [0.0, 1.0, 1.5],
+         "*.sequence": [0, 9]},
+    )
+
+
+@pytest.fixture(scope="module")
+def bayes_entry_fuzz(workdir):
+    return entry_fuzz(
+        workdir / "bayes.jsonl", write_bayes_ledger,
+        {"*.payload.m": [0, -1], "*.payload.h.*": [-0.5, 1.5],
+         "*.sequence": [0, 9]},
+    )
+
+
+def field_path(path):
+    """A case's field as the ledger names it: ``payload.z[0]``."""
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return out.lstrip(".")
+
+
+def check_entry(fuzz, path, new):
+    """A typed field that takes another JSON type, NaN, an infinity or a
+    bool is refused, naming the line and the field; an out-of-range value
+    is refused, naming the line.  Exempt: the timestamp, which nothing
+    reads; a null or dropped optional field (a stratum, a note, an
+    adjustment's outcome and the z of an entry that does not spend); and
+    a string stratum or note."""
+    entry, field = fuzz.doc[path[0]], path[1:]
+    original = entry
+    for key in field:
+        original = original[key]
+    retyped = type(new) is not type(original) or new in (math.inf, -math.inf)
+    optional = (
+        field in (("stratum",), ("note",))
+        or field == ("payload", "outcome") and entry["kind"] == "adjustment"
+        or field == ("payload", "z") and "h" not in entry["payload"]
+    )
+    lenient = (
+        field == ("timestamp",)
+        or optional and new in (DROP, None)
+        or field in (("stratum",), ("note",)) and isinstance(new, str) and new
+    )
+    if lenient:
+        fuzz.check(path, new)
+        return
+    fuzz.write(fuzz.path, mutate(fuzz.doc, path, new))
+    code, out, err = run_main(fuzz.argv)
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"enfp: error: line {path[0] + 2}: "), err
+    assert err.count("\n") == 1, err
+    assert field_path(field) in err or not (retyped or new != new), err
+
+
+@fixed(150)
+@given(st.data())
+def test_fuzz_frequentist_ledger_entries(freq_entry_fuzz, data):
+    fuzz = freq_entry_fuzz
+    check_entry(fuzz, *data.draw(st.sampled_from(fuzz.cases)))
+
+
+@fixed(150)
+@given(st.data())
+def test_fuzz_bayes_ledger_entries(bayes_entry_fuzz, data):
+    fuzz = bayes_entry_fuzz
+    check_entry(fuzz, *data.draw(st.sampled_from(fuzz.cases)))
+
+
+# Each line that an earlier reader replayed as valid: (file, entry index,
+# field, stored value).
+LAX_LINES = {
+    "proposal_alpha_string": ("freq", 0, ("payload", "alpha"), "0.025"),
+    "proposal_sequence_true": ("freq", 0, ("sequence",), True),
+    "proposal_trial_id_number": ("freq", 0, ("trial_id",), 5),
+    "proposal_note_number": ("freq", 1, ("note",), 7),
+    "outcome_maybe": ("bayes", 2, ("payload", "outcome"), "maybe"),
+    "positive_m_fraction": ("bayes", 1, ("payload", "m"), 1.5),
+    "positive_m_true": ("bayes", 1, ("payload", "m"), True),
+    "z_string_element": ("bayes", 2, ("payload", "z"), ["3.0"]),
+    "negative_z_string": ("bayes", 2, ("payload", "z"), "abc"),
+    "outcome_trial_id_null": ("bayes", 2, ("trial_id",), None),
+    "negative_spend_delta_false": ("bayes", 2, ("spend_delta",), False),
+}
+
+
+@pytest.mark.parametrize("case", LAX_LINES)
+def test_lax_ledger_line_is_corrupt(tmp_path, case):
+    kind, index, field, value = LAX_LINES[case]
+    path = tmp_path / f"{kind}.jsonl"
+    (write_freq_ledger if kind == "freq" else write_bayes_ledger)(path)
+    lines = path.read_text().splitlines()
+    entry = mutate(json.loads(lines[index + 1]), field, value)
+    lines[index + 1] = json.dumps(entry)
+    path.write_text("\n".join(lines) + "\n")
+    where = f"line {index + 2}: {field_path(field)}"
+    with pytest.raises(LedgerCorruptError, match=re.escape(where)):
+        Ledger.open(path)
+    code, out, err = run_main(["ledger", "status", path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"enfp: error: {where}") and err.count("\n") == 1

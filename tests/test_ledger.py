@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 import enfp.ledger
 from enfp.bayes_bounds import omega_hat, positive_result
 from enfp.deconv import PriorModel
-from enfp.freq_bounds import FreqBoundInput, tau_hat_mixed
+from enfp.freq_bounds import FreqBoundInput, _exact, tau_hat_mixed
 from enfp.ledger import (
     Ledger,
     LedgerCorruptError,
@@ -200,6 +200,38 @@ class TestPropose:
                 led.propose("t", 1, B, 0.0)
             with pytest.raises(LedgerError):
                 led.propose("t", 1, "C", 0.025)
+
+
+    def test_numpy_integer_m_and_float_alpha_accepted(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        with Ledger.create(
+            path, "frequentist", budget=1.0, rho_hat=0.1
+        ) as led:
+            dec = led.propose("t1", np.int64(2), A, np.float64(0.025))
+            assert dec.accepted
+            (entry,) = led.entries()
+        assert entry["payload"] == {"m": 2, "t": "A", "alpha": 0.025}
+        assert '"m":2,' in path.read_text()
+
+    @pytest.mark.parametrize("m", [2.0, 1.5, True, "2"])
+    def test_float_bool_or_string_m_refused(self, tmp_path, m):
+        path = tmp_path / "l.jsonl"
+        with Ledger.create(
+            path, "frequentist", budget=1.0, rho_hat=0.1
+        ) as led:
+            before = path.read_bytes()
+            with pytest.raises(LedgerError, match="m: expected an integer"):
+                led.propose("t1", m, B, 0.025)
+            assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("trial_id", [None, "", 5, np.int64(5)])
+    def test_trial_id_must_be_a_non_empty_string(self, tmp_path, trial_id):
+        with Ledger.create(
+            tmp_path / "l.jsonl", "frequentist", budget=1.0, rho_hat=0.1
+        ) as led:
+            with pytest.raises(LedgerError, match="trial_id"):
+                led.propose(trial_id, 1, B, 0.025)
+            assert led.entries() == ()
 
 
 class TestRecordOutcome:
@@ -666,12 +698,14 @@ class TestExactRunningSums:
         state = _StratumState(budget=1.0, rho_hat=0.1)
         deltas, alphas = [], []
         for d, a in designs:
-            assert state.projected(d, a) == (
+            # The state takes a design's delta and alpha in exact form.
+            exact = (_exact(d), _exact(a))
+            assert state.projected(*exact, 1) == (
                 math.fsum(deltas + [d])
                 * math.fsum(alphas + [a])
                 / (len(deltas) + 1)
             )
-            state.accept(d, a)
+            state.accept(*exact)
             deltas.append(d)
             alphas.append(a)
             assert state.projected() == (

@@ -224,6 +224,19 @@ class TestCsvErrors:
         with pytest.raises(RecordParseError, match="one mode or the other"):
             records_from_csv(path)
 
+    def test_h_floor_row_with_critical_z_refused(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            [
+                "t-0,1,1,B,2.0,,true,false,,,0.9,,",
+                "t-1,1,1,B,2.0,,true,false,1.5,,0.9,,",
+            ],
+        )
+        with pytest.raises(
+            RecordParseError, match="row 3.*policy.per_endpoint_critical_z"
+        ):
+            records_from_csv(path)
+
     def test_unknown_failure_type(self, tmp_path):
         path = self._write(
             tmp_path, ["t-1,1,1,C,2.0,,true,false,1.96,0.025,,,"]
@@ -286,6 +299,21 @@ class TestJsonRoundTrip:
     def test_dict_round_trip(self):
         for rec in _assorted_records():
             assert record_from_dict(record_to_dict(rec)) == rec
+
+    def test_h_threshold_policy_with_critical_z_refused(self, tmp_path):
+        rec = record_to_dict(
+            TrialRecord(
+                "t-1", 1, FailureRegionType.B, (_exact(1, 2.0),),
+                RejectionPolicy.at_h_floor(0.9),
+            )
+        )
+        rec["policy"]["per_endpoint_critical_z"] = [1.5]
+        with pytest.raises(
+            RecordParseError, match="policy.per_endpoint_critical_z"
+        ):
+            record_from_dict(rec)
+        with pytest.raises(ValueError, match="h_threshold"):
+            RejectionPolicy("h_threshold", (1.5,), h_floor=0.9)
 
     def test_bad_format_tag(self, tmp_path):
         path = tmp_path / "r.json"
