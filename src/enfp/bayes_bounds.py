@@ -7,9 +7,9 @@ unconditional bound omega and as the conditional-ENFP estimate given the
 observed Z values of the positive trials.
 
 Every omega in the package is one correctly rounded sum (``math.fsum``)
-of 1 - h over the endpoint slots one read rule marks, so it does not
-depend on summation order.  ``trial_contribution`` is the same rule for
-one trial, kept scalar for the ledger, which spends a trial at a time.
+of 1 - h over the endpoints that one read rule,
+``enfp.trials._read_endpoints``, marks, so it does not depend on
+summation order.  ``trial_contribution`` is omega-hat of one trial.
 
 Contributions are computed from h-values frozen at classification time,
 so ledger history never changes when the prior is refit.
@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from enfp.hcurve import h_values
 from enfp.trials import FailureRegionType, TrialRecord
+from enfp.trials import _check_endpoint_mode, _read_endpoints
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,12 @@ def positive_result(trial: TrialRecord, model) -> PositiveTrialResult:
 def trial_contribution(
     trial: PositiveTrialResult, endpoint_mode: str = "designated"
 ) -> float:
-    """Per-trial contribution G to omega-hat.
+    """Per-trial contribution G to omega-hat: omega-hat of the one trial.
 
     Type A trials are bounded through a single endpoint: the designated
     first endpoint by default, or the maximum-z endpoint when
-    ``endpoint_mode="tightest"`` (each endpoint individually bounds the
-    null probability, so the largest z gives the smallest valid G).
-    Type B trials sum 1 - h over all endpoints.  For m = 1 both reduce
-    to 1 - h(z).
+    ``endpoint_mode="tightest"``.  Type B trials sum 1 - h over all
+    endpoints.  For m = 1 both reduce to 1 - h(z).
 
     Args:
         trial: a positive trial with frozen h values.
@@ -111,37 +108,7 @@ def trial_contribution(
     Returns:
         G >= 0.
     """
-    _check_endpoint_mode(endpoint_mode)
-    if trial.failure_type is FailureRegionType.A:
-        if endpoint_mode == "tightest":
-            idx = max(
-                range(trial.m), key=lambda j: trial.z_values[j]
-            )
-        else:
-            idx = 0
-        return 1.0 - trial.h_values[idx]
-    return math.fsum(1.0 - h for h in trial.h_values)
-
-
-def _check_endpoint_mode(endpoint_mode: str) -> None:
-    if endpoint_mode not in ("designated", "tightest"):
-        raise ValueError(f"unknown endpoint_mode: {endpoint_mode!r}")
-
-
-def _omega_from_arrays(z, valid, type_a, endpoint_mode, h_read) -> float:
-    """omega-hat over padded (n, m_max) arrays of positive trials: the
-    fsum of 1 - h over the slots ``trial_contribution`` reads, where
-    ``h_read(read)`` gives h at the slots of mask ``read``, row-major."""
-    _check_endpoint_mode(endpoint_mode)
-    read = valid & ~type_a[:, None]
-    a_rows = np.flatnonzero(type_a)
-    if endpoint_mode == "designated":
-        read[a_rows, 0] = True
-    else:
-        z_a = np.where(valid[a_rows], z[a_rows], -np.inf)
-        read[a_rows, np.argmax(z_a, axis=1)] = True
-    # A memoryview hands fsum one float at a time, not a list of them all.
-    return math.fsum(memoryview(1.0 - h_read(read)))
+    return omega_hat([trial], endpoint_mode)
 
 
 def omega_hat(
@@ -152,18 +119,16 @@ def omega_hat(
 
     The value reads both as the unconditional bound omega and as the
     conditional expected number of false positives given the observed
-    Z values of the positive set.
+    Z values of the positive set: one ``math.fsum`` of 1 - h over the
+    endpoints ``enfp.trials._read_endpoints`` marks in each trial.
     """
-    m_max = max((t.m for t in positives), default=1)
-    pad = (math.nan,) * m_max  # z is never NaN, so NaN marks padding
-    shape = (len(positives), m_max)
-    z = np.array([t.z_values + pad[t.m:] for t in positives]).reshape(shape)
-    h = np.array([t.h_values + pad[t.m:] for t in positives]).reshape(shape)
-    type_a = np.array(
-        [t.failure_type is FailureRegionType.A for t in positives], dtype=bool
-    )
-    return _omega_from_arrays(
-        z, ~np.isnan(z), type_a, endpoint_mode, lambda read: h[read]
+    _check_endpoint_mode(endpoint_mode)
+    return math.fsum(
+        1.0 - t.h_values[j]
+        for t in positives
+        for j in _read_endpoints(
+            t.z_values, t.failure_type is FailureRegionType.A, endpoint_mode
+        )
     )
 
 

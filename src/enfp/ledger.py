@@ -8,7 +8,10 @@ observations, not permissions — but raises a persistent over-budget flag
 once the budget is exceeded.
 
 Every accepted mutation appends exactly one JSON object per line to the
-backing file and fsyncs before returning.  The first line is a header
+backing file and fsyncs it before the entry changes any state.  A write
+or fsync that fails cuts the file back to its size before that line,
+closes the ledger and raises the OSError: the file replays to the state
+the ledger held before the failed append.  The first line is a header
 pinning the format version, mode, budgets, and the estimated null rate
 (frequentist) or prior-model hash (Bayesian); :meth:`Ledger.create` and
 :meth:`Ledger.open` put it through the same checks.  Each entry holds
@@ -21,9 +24,12 @@ once and stores what it gives; reopening a ledger calls it for every
 line, reads the stored numbers as strictly and marks the file corrupt
 unless each equals the derived one.  So replay refuses, naming the line
 and the field, any line the live path would not write.  Non-finite
-numbers are refused: the file is strict JSON.  ``enfp.hcurve`` and
-``enfp.bayes_bounds`` (and numpy) load only where a Bayesian entry
-spends, so a frequentist ledger runs on exact integer sums alone.
+numbers are refused: the file is strict JSON.  An entry that spends
+is read through the endpoint rule of ``enfp.trials``, which
+``enfp.bayes_bounds`` uses too.  ``enfp.hcurve`` (and numpy) load only
+where a live operation freezes a trial's h values: replaying a file of
+either mode, and ``status``, load none of ``hcurve``, ``bayes_bounds``
+and numpy.
 
 Running sums are exact.  Each stratum keeps its sums of deltas, alphas
 and contributions as the exact integers of ``enfp.freq_bounds`` and
@@ -41,6 +47,7 @@ locking is out of scope.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -52,6 +59,7 @@ from dataclasses import dataclass, field
 from enfp import _fields
 from enfp.freq_bounds import _exact, _read, _tau_from_sums, delta
 from enfp.trials import CannotClassifyError, FailureRegionType, TrialRecord
+from enfp.trials import _read_endpoints
 
 __all__ = [
     "LEDGER_FORMAT",
@@ -176,7 +184,7 @@ def _facts(entry: dict, endpoint_mode: str | None) -> tuple:
         kind = _fields.read(
             entry, "kind", str, choices=("proposal", "outcome", "adjustment")
         )
-        trial_id = _fields.read(entry, "trial_id", str)
+        _fields.read(entry, "trial_id", str)
         stratum = _fields.read(entry, "stratum", str, default=None)
         note = _fields.read(entry, "note", str, default=None)
         payload = _fields.read(entry, "payload", dict)
@@ -203,17 +211,19 @@ def _facts(entry: dict, endpoint_mode: str | None) -> tuple:
                 payload, "z", "payload.", _fields.REQUIRED if spends else None
             )
             if spends:
-                from enfp.bayes_bounds import (
-                    PositiveTrialResult,
-                    trial_contribution,
-                )
-
-                # It checks the lengths of z and h, and h's range.
-                frozen = PositiveTrialResult(
-                    trial_id, m, FailureRegionType[t], z,
-                    _fields.numbers(payload, "h", "payload."), stratum,
-                )
-                spend = trial_contribution(frozen, endpoint_mode)
+                h = _fields.numbers(payload, "h", "payload.")
+                for key, values in (("z", z), ("h", h)):
+                    if len(values) != m:
+                        raise _fields.error(
+                            f"payload.{key}", values, f"a list of {m} numbers"
+                        )
+                for j, value in enumerate(h):
+                    if not 0.0 <= value <= 1.0:
+                        raise _fields.error(
+                            f"payload.h[{j}]", value, "a number in [0, 1]"
+                        )
+                read = _read_endpoints(z, t == "A", endpoint_mode)
+                spend = math.fsum([1.0 - h[j] for j in read])
     except ValueError as exc:
         raise LedgerError(str(exc)) from exc
     return kind, stratum, note, m, t, alpha, outcome, spend
@@ -224,17 +234,6 @@ def _exact_design(rho: float, m: int, t: str, alpha: float) -> tuple:
     """A design's delta and alpha as exact integers, which projecting
     and accepting it add.  Designs repeat, so each converts once."""
     return _exact(delta(rho, m, FailureRegionType(t))), _exact(alpha)
-
-
-def _stored(entry: dict, keys) -> list:
-    """The sequence, and the numbers at ``keys``, a stored entry holds."""
-    try:
-        return [
-            _fields.read(entry, key, int if key == "sequence" else float)
-            for key in ("sequence", *keys)
-        ]
-    except ValueError as exc:
-        raise LedgerError(str(exc)) from exc
 
 
 def _stratum_fields(spec) -> dict:
@@ -743,45 +742,64 @@ class Ledger:
 
     def _commit(self, entry: dict, numbers: dict, apply) -> int:
         """Store the derived ``numbers``, the sequence and the time in
-        ``entry``, apply it, and append it durably; returns the sequence.
-        An entry that cannot be encoded is refused before any change."""
+        ``entry``, append it durably, then apply it; returns the sequence.
+        An entry that cannot be encoded or written changes no state."""
         entry.update(
             numbers, sequence=len(self._entries) + 1, timestamp=time.time()
         )
-        line = self._encode_line(entry)
+        self._write_line(self._encode_line(entry))
         apply()
         self._entries.append(entry)
-        self._write_line(line)
         return entry["sequence"]
 
     def _replay(self, entry: dict, where: str) -> None:
         """Apply a stored entry once its sequence follows on and every
-        number it stores equals the one :meth:`_derive` gives."""
+        number it stores, read strictly, equals the one :meth:`_derive`
+        gives.  Every refusal is a ValueError: a LedgerError, or the
+        error of a ``_fields`` reader."""
         expected = len(self._entries) + 1
         try:
             state, numbers, apply = self._derive(entry)
-            sequence, *stored = _stored(entry, numbers)
+            sequence = _fields.read(entry, "sequence", int)
             if sequence != expected:
                 raise LedgerError(
                     f"sequence {sequence} breaks contiguity (expected "
                     f"{expected})"
                 )
-            for (key, value), got in zip(numbers.items(), stored):
+            for key, value in numbers.items():
+                got = _fields.read(entry, key, float)
                 if got != value:
                     raise LedgerError(
                         f"stored {key} {got!r} does not replay ({value!r})"
                     )
             if numbers.get("projected", 0.0) > state.budget:
                 raise LedgerError("accepted proposal exceeds the budget")
-        except LedgerError as exc:
+        except ValueError as exc:
             raise LedgerCorruptError(f"{where}: {exc}") from exc
         apply()
         self._entries.append(entry)
 
     def _write_line(self, line: str) -> None:
-        self._fh.write(line)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        """Append ``line`` and fsync it.  On an OSError the ledger closes
+        and the file is cut back to its size before the write, and the
+        error propagates.  Nothing is retried: after a failed fsync the
+        kernel may have dropped the pages it reported, so a second fsync
+        can succeed with the line lost (Rebello et al., USENIX ATC 2020).
+        """
+        fh = self._fh
+        size = os.fstat(fh.fileno()).st_size
+        try:
+            fh.write(line)
+            fh.flush()
+            os.fsync(fh.fileno())
+        except OSError:
+            self._fh = None
+            # Closing drops what the buffer still holds, or writes it;
+            # either way the truncation removes it.
+            with contextlib.suppress(OSError):
+                fh.close()
+            os.truncate(self._path, size)
+            raise
 
     def _require_open(self) -> None:
         if self._fh is None:

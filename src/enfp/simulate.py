@@ -13,9 +13,10 @@ noise factor, idiosyncratic noise, then policy draws.  Identical config
 and seed therefore reproduce identical populations and reports, and
 replicates may run in parallel without changing results.
 
-Each replicate's tau-hat and omega-hat come from the array cores of
-``enfp.freq_bounds`` and ``enfp.bayes_bounds``, so they are the
-library's bounds over the same draw, bit for bit.
+Each replicate's tau-hat comes from the array core of
+``enfp.freq_bounds``, and its omega-hat reads h at the endpoints the
+rule of ``enfp.trials`` marks, so both are the library's bounds over
+the same draw, bit for bit.
 
 The endpoint-correlation model is a shared-factor Gaussian: noise =
 sqrt(rc) * common + sqrt(1 - rc) * idiosyncratic, giving correlation rc
@@ -37,13 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from enfp import _fields
-from enfp.bayes_bounds import _check_endpoint_mode, _omega_from_arrays
 from enfp.freq_bounds import _SUM_EXP, _exact, _read, _tau_from_arrays
 from enfp.hcurve import ZERO_TOLERANCE, h_values
 from enfp.trials import (
     FailureRegionType,
+    _check_endpoint_mode,
     _critical_z,
     _in_failure_region,
+    _read_endpoints,
     _rejects,
 )
 
@@ -832,11 +834,10 @@ def validate_bounds(
         counts = _merge_counts(counts, _draw_counts(draw, 0.25))
         taus[rep] = _tau_from_arrays(rho, draw.m, draw.is_type_a, draw.alpha)
         z = draw.z[draw.positive]
-        omegas[rep] = _omega_from_arrays(
-            z, draw.valid[draw.positive], draw.is_type_a[draw.positive],
-            endpoint_mode, lambda read: h_values(model, z[read]),
-        )
-        del draw, z  # free this replicate before the next one is drawn
+        read = _read_endpoints(z, draw.is_type_a[draw.positive], endpoint_mode)
+        # A memoryview hands fsum one float at a time, not a list of them all.
+        omegas[rep] = math.fsum(memoryview(1.0 - h_values(model, z[read])))
+        del draw, z, read  # free this replicate before the next one is drawn
     concordance = _concordance_from_counts(counts, 0.25)
 
     tau_diff = fps - taus

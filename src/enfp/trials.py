@@ -8,8 +8,8 @@ error accounting) consumes these value objects.
 
 All types are immutable after construction and safe to share across
 threads.  The normal functions of ``enfp.special``, and numpy with them,
-load only where a quantile or probability is taken, so the types and the
-rules of the frequentist path run without numpy.
+load only where a quantile or probability is taken, so the types, the
+frequentist rules and omega-hat's endpoint rule run without numpy.
 """
 
 from __future__ import annotations
@@ -95,6 +95,33 @@ def _in_failure_region(n_null, m, is_type_a):
     how many of its m endpoints are null: type A when all m are, type B
     when any one is."""
     return n_null >= 1 + is_type_a * (m - 1)
+
+
+def _check_endpoint_mode(endpoint_mode: str) -> None:
+    if endpoint_mode not in ("designated", "tightest"):
+        raise ValueError(f"unknown endpoint_mode: {endpoint_mode!r}")
+
+
+def _read_endpoints(z, is_type_a, endpoint_mode):
+    """Which endpoints omega-hat reads of a positive trial with z values
+    ``z``: all of a type B trial; of a type A trial, endpoint 1, or under
+    endpoint mode "tightest" the first of largest z, since each endpoint
+    alone bounds the null probability.  On one trial (``z`` a list or
+    tuple without NaN, ``is_type_a`` a bool) the answer is their 0-based
+    indices; on an (n, m_max) array of trials' z, NaN past each trial's
+    m, with ``is_type_a`` an (n,) array, it is a mask false at NaN slots.
+    """
+    _check_endpoint_mode(endpoint_mode)
+    tightest = endpoint_mode == "tightest"
+    if isinstance(is_type_a, bool):
+        if not is_type_a:
+            return range(len(z))
+        return (z.index(max(z)) if tightest else 0,)
+    import numpy as np
+
+    k = np.nanargmax(z, axis=1)[:, None] if tightest else 0
+    read = ~is_type_a[:, None] | (np.arange(z.shape[1]) == k)
+    return read & ~np.isnan(z)
 
 
 @dataclass(frozen=True)

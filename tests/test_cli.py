@@ -1179,7 +1179,7 @@ ARRAY_PATH = {
 
 class TestImportFootprint:
     """Each subcommand imports only the modules it runs, and the
-    frequentist commands load no numpy."""
+    frequentist commands and a Bayesian ledger's replay load no numpy."""
 
     def test_help_loads_only_cli(self, src_env):
         assert enfp_modules_after(src_env, "--help") == {"cli"}
@@ -1209,6 +1209,22 @@ class TestImportFootprint:
             ("ledger", "propose", path, "--trial-id", "t-001", "--alpha",
              "0.025"),
             ("bounds", "--ledger", path),
+        ):
+            mods = enfp_modules_after(src_env, *argv)
+            assert "ledger" in mods, argv
+            assert not mods & ARRAY_PATH, argv
+
+    def test_bayes_ledger_status_and_bound(self, tmp_path, src_env):
+        # Replay reads the stored h values through the endpoint rule of
+        # enfp.trials: nothing of the array path loads.
+        model, _ = two_point_model(tmp_path)
+        path = tmp_path / "budget.jsonl"
+        with Ledger.create(path, "bayes", budget=1.0, model=model) as led:
+            led.record_outcome(single_trial("t-1", 2.4, outcome="positive"),
+                               model)
+        for argv in (
+            ("ledger", "status", str(path), "--json"),
+            ("bounds", "--ledger", str(path)),
         ):
             mods = enfp_modules_after(src_env, *argv)
             assert "ledger" in mods, argv

@@ -645,8 +645,8 @@ def test_fuzz_bayes_ledger_entries(bayes_entry_fuzz, data):
     check_entry(fuzz, *data.draw(st.sampled_from(fuzz.cases)))
 
 
-# Each line that an earlier reader replayed as valid: (file, entry index,
-# field, stored value).
+# Each line that an earlier reader replayed as valid, or refused without
+# naming the field: (file, entry index, field, stored value).
 LAX_LINES = {
     "proposal_alpha_string": ("freq", 0, ("payload", "alpha"), "0.025"),
     "proposal_sequence_true": ("freq", 0, ("sequence",), True),
@@ -659,6 +659,9 @@ LAX_LINES = {
     "negative_z_string": ("bayes", 2, ("payload", "z"), "abc"),
     "outcome_trial_id_null": ("bayes", 2, ("trial_id",), None),
     "negative_spend_delta_false": ("bayes", 2, ("spend_delta",), False),
+    "h_above_one": ("bayes", 0, ("payload", "h", 1), 1.5),
+    "h_shorter_than_m": ("bayes", 0, ("payload", "h"), [0.5]),
+    "z_longer_than_m": ("bayes", 1, ("payload", "z"), [2.9, 3.0]),
 }
 
 

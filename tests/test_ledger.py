@@ -1,5 +1,6 @@
 """Tests for the persistent error-spending ledger."""
 
+import errno
 import importlib.util
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import enfp.ledger
-from enfp.bayes_bounds import omega_hat, positive_result
+from enfp.bayes_bounds import omega_hat, positive_result, trial_contribution
 from enfp.deconv import PriorModel
 from enfp.freq_bounds import FreqBoundInput, _exact, tau_hat_mixed
 from enfp.ledger import (
@@ -453,6 +454,35 @@ class TestReplay:
             assert replayed.running_sums() == live
             assert replayed.status()["adjustment_count"] == 1
 
+    def test_tightest_mode_spends_and_replays(self, tmp_path):
+        # Type A trials whose largest z is on endpoint 2, one with tied z,
+        # and an m=3 type B trial.
+        model = small_model()
+        path = tmp_path / "t.jsonl"
+        trials = [
+            make_trial("a-1", [2.0, 3.1], t=A),
+            make_trial("a-2", [1.9, 2.8, 2.3], t=A),
+            make_trial("a-tie", [2.6, 2.6], t=A),
+            make_trial("b-1", [2.2, 2.5, 3.0], t=B),
+        ]
+        with Ledger.create(
+            path, "bayes", budget=1.0, model=model, endpoint_mode="tightest"
+        ) as led:
+            for trial in trials:
+                led.record_outcome(trial, model)
+            live = (led.status(), led.entries())
+        for trial, entry in zip(trials, live[1]):
+            frozen = positive_result(trial, model)
+            assert entry["spend_delta"] == trial_contribution(
+                frozen, "tightest"
+            )
+        # Endpoint 2 is what a-1 spends, not the designated endpoint 1.
+        assert live[1][0]["spend_delta"] != trial_contribution(
+            positive_result(trials[0], model), "designated"
+        )
+        with Ledger.open(path) as replayed:
+            assert (replayed.status(), replayed.entries()) == live
+
     def test_reopened_ledger_keeps_appending(self, tmp_path):
         path = tmp_path / "l.jsonl"
         with Ledger.create(
@@ -531,6 +561,40 @@ class TestCorruption:
         with pytest.raises(LedgerCorruptError, match=r"line 3: unterminated"):
             Ledger.open(path)
         assert path.read_bytes() == torn
+
+
+class TestFailedWrite:
+    """An append whose write or fsync fails changes no state: the file is
+    cut back, the ledger closes, and reopening it gives the state before
+    the failed operation."""
+
+    @pytest.mark.parametrize("where", ["write", "fsync"])
+    def test_failed_append_leaves_the_state_before_it(
+        self, tmp_path, monkeypatch, where
+    ):
+        path = tmp_path / "l.jsonl"
+        led = Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09)
+        led.propose("t1", 1, B, 0.025)
+        before = (path.read_bytes(), led.status())
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        if where == "write":
+            monkeypatch.setattr(led._fh, "write", no_space)
+        else:
+            monkeypatch.setattr(enfp.ledger.os, "fsync", no_space)
+        with pytest.raises(OSError, match="No space"):
+            led.propose("t2", 1, B, 0.025)
+        monkeypatch.undo()
+        assert (path.read_bytes(), led.status()) == before
+        with pytest.raises(LedgerError, match="ledger is closed"):
+            led.propose("t3", 1, B, 0.025)
+        with pytest.raises(LedgerError, match="ledger is closed"):
+            led.record_outcome(make_trial("t1", [2.4]))
+        with Ledger.open(path) as reopened:
+            assert reopened.status() == before[1]
+            assert reopened.propose("t2", 1, B, 0.025).sequence == 2
 
 
 class TestStoredNumbers:
