@@ -210,13 +210,13 @@ def _facts(entry: dict, endpoint_mode: str | None) -> tuple:
             z = _fields.numbers(
                 payload, "z", "payload.", _fields.REQUIRED if spends else None
             )
+            h = _fields.numbers(payload, "h", "payload.") if spends else None
+            for key, values in (("z", z), ("h", h)):
+                if values is not None and len(values) != m:
+                    raise _fields.error(
+                        f"payload.{key}", values, f"a list of {m} numbers"
+                    )
             if spends:
-                h = _fields.numbers(payload, "h", "payload.")
-                for key, values in (("z", z), ("h", h)):
-                    if len(values) != m:
-                        raise _fields.error(
-                            f"payload.{key}", values, f"a list of {m} numbers"
-                        )
                 for j, value in enumerate(h):
                     if not 0.0 <= value <= 1.0:
                         raise _fields.error(
@@ -361,7 +361,14 @@ class Ledger:
                 f"refusing to overwrite existing ledger file {path!s}"
             )
         ledger._fh = open(path, "a", encoding="utf-8")
-        ledger._write_line(line)
+        try:
+            ledger._write_line(line)
+        except OSError:
+            # The file holds no header, so nothing could open it: remove
+            # it, so that a rerun can create the ledger.
+            with contextlib.suppress(OSError):
+                os.remove(path)
+            raise
         return ledger
 
     @classmethod

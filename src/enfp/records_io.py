@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import re
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
@@ -402,15 +403,24 @@ def record_from_dict(data: dict, where: str = "trial") -> TrialRecord:
 _policy = functools.lru_cache(maxsize=256)(RejectionPolicy)
 
 
+# A JSON string, or an infinity as ``json`` writes it.  JSON has no
+# infinity, so an infinite z or censoring bound is written as -1e999 or
+# 1e999: valid JSON numbers, which overflow to an infinite double.
+_STRING_OR_INFINITY = re.compile(r'"(?:[^"\\]|\\.)*"|(-?)Infinity')
+
+
 def records_to_json(records: Iterable[TrialRecord], path: str) -> None:
     """Write trial records as nested JSON (lossless for any record)."""
     payload = {
         "format": RECORDS_FORMAT,
         "trials": [record_to_dict(t) for t in records],
     }
+    text = _STRING_OR_INFINITY.sub(
+        lambda match: match[0] if match[1] is None else match[1] + "1e999",
+        json.dumps(payload, indent=2),
+    )
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def records_from_json(path: str) -> Tuple[TrialRecord, ...]:

@@ -330,15 +330,20 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
     theta_mass = np.asarray(cfg.true_prior[1])
     theta_idx = rng.choice(theta_support.size, size=(n, m_max), p=theta_mass)
     theta = theta_support[theta_idx]
+    del theta_idx
 
+    # z is built in place; addition commutes, so it has the bits of
+    # theta + sqrt(rc) * common + sqrt(1 - rc) * idio.
     common = rng.standard_normal((n, 1))
-    idio = rng.standard_normal((n, m_max))
+    z = rng.standard_normal((n, m_max))
     rc = cfg.endpoint_correlation
-    z = theta + math.sqrt(rc) * common + math.sqrt(1.0 - rc) * idio
+    z *= math.sqrt(1.0 - rc)
+    z += theta + math.sqrt(rc) * common
+    del common
 
     valid = np.arange(m_max)[None, :] < m[:, None]
-    theta = np.where(valid, theta, np.nan)
-    z = np.where(valid, z, np.nan)
+    np.copyto(theta, np.nan, where=~valid)
+    np.copyto(z, np.nan, where=~valid)
 
     menu, menu_index = _policy_alphas(rng, cfg.policy, theta, valid, m)
     alpha = menu[menu_index]
@@ -348,6 +353,7 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
     # null; null means theta <= ZERO_TOLERANCE, as for rho and h.
     critical = _critical_z(menu, ms[:, None], a_flags[:, None])
     n_exceed = _row_counts(z > critical[which, menu_index][:, None])
+    del which
     positive = _rejects(n_exceed, m, is_type_a)
     n_null = _row_counts(theta <= ZERO_TOLERANCE)
     null_truth = _in_failure_region(n_null, m, is_type_a)
@@ -634,19 +640,30 @@ def _draw_counts(draw: PopulationDraw, bin_width: float) -> dict:
     (non-null, null) unit counts for the first two, occupied z bins with
     their ``_bin_counts`` columns for the last two.  Units are endpoint
     slots for the first and fourth checks and trials for the others.
+    Slot counts come from per-trial arrays and the fourth check bins one
+    endpoint column at a time, so no per-slot index array is built.
     """
     values, index = np.unique(draw.alpha, return_inverse=True)
     k = values.size
-    # Valid endpoint slots as flat indices, and the trial of each.
-    slots = np.flatnonzero(draw.valid)
-    rows = slots // draw.valid.shape[1]
-    slot_null = draw.theta.ravel()[slots] <= ZERO_TOLERANCE
-    slot_alpha = np.bincount(index[rows] * 2 + slot_null, minlength=2 * k)
+    # Per-alpha sums of per-trial slot counts: exact in float64.
+    n_null = _row_counts(draw.theta <= ZERO_TOLERANCE)
+    slot_alpha = np.stack([
+        np.bincount(index, weights=w, minlength=k)
+        for w in (draw.m - n_null, n_null)
+    ], axis=1).astype(np.int64)
     trial_alpha = np.bincount(index * 2 + draw.null_truth, minlength=2 * k)
     single = np.flatnonzero(draw.m == 1)
-    multi = np.flatnonzero(draw.m[rows] > 1)
+    multi = draw.m > 1
+    fourth = None
+    for j, z in enumerate(draw.z.T):
+        rows = np.flatnonzero(multi & draw.valid[:, j])
+        part = _bin_counts(
+            z[rows], draw.theta[rows, j] <= ZERO_TOLERANCE,
+            draw.positive[rows], bin_width,
+        )
+        fourth = _merge_counts(fourth, {"fourth": part})
     return {
-        "first": (values, slot_alpha.reshape(k, 2)),
+        "first": (values, slot_alpha),
         "second": (values, trial_alpha.reshape(k, 2)),
         "third": _bin_counts(
             draw.z[single, 0],
@@ -654,12 +671,7 @@ def _draw_counts(draw: PopulationDraw, bin_width: float) -> dict:
             draw.positive[single],
             bin_width,
         ),
-        "fourth": _bin_counts(
-            draw.z.ravel()[slots[multi]],
-            slot_null[multi],
-            draw.positive[rows[multi]],
-            bin_width,
-        ),
+        "fourth": fourth["fourth"],
     }
 
 
@@ -830,14 +842,15 @@ def validate_bounds(
         draw = draw_population(cfg, rep)
         fps[rep] = oracle_count_fp(draw)
         positives[rep] = np.count_nonzero(draw.positive)
-        # Counts before omega, so their temporaries and z never coexist.
+        # Counts first: their temporaries are gone before omega's copies.
         counts = _merge_counts(counts, _draw_counts(draw, 0.25))
         taus[rep] = _tau_from_arrays(rho, draw.m, draw.is_type_a, draw.alpha)
         z = draw.z[draw.positive]
         read = _read_endpoints(z, draw.is_type_a[draw.positive], endpoint_mode)
         # A memoryview hands fsum one float at a time, not a list of them all.
         omegas[rep] = math.fsum(memoryview(1.0 - h_values(model, z[read])))
-        del draw, z, read  # free this replicate before the next one is drawn
+        # Unbound, the draw would live until the next one is built.
+        del draw, z, read
     concordance = _concordance_from_counts(counts, 0.25)
 
     tau_diff = fps - taus

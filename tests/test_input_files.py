@@ -572,6 +572,20 @@ def write_bayes_ledger(path):
         )
 
 
+def write_freq_outcome_ledger(path):
+    """A frequentist m=2 proposal and its outcome."""
+    with Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09) as led:
+        led.propose("f-1", 2, B, 0.025)
+        led.record_outcome(ledger_trial("f-1", [2.4, 1.0], "positive"))
+
+
+LEDGER_WRITERS = {
+    "freq": write_freq_ledger,
+    "bayes": write_bayes_ledger,
+    "freq_outcome": write_freq_outcome_ledger,
+}
+
+
 @pytest.fixture(scope="module")
 def freq_entry_fuzz(workdir):
     return entry_fuzz(
@@ -662,6 +676,10 @@ LAX_LINES = {
     "h_above_one": ("bayes", 0, ("payload", "h", 1), 1.5),
     "h_shorter_than_m": ("bayes", 0, ("payload", "h"), [0.5]),
     "z_longer_than_m": ("bayes", 1, ("payload", "z"), [2.9, 3.0]),
+    "negative_z_longer_than_m": ("bayes", 2, ("payload", "z"), [1.1, 1.2]),
+    "freq_outcome_z_longer_than_m": (
+        "freq_outcome", 1, ("payload", "z"), [1.0, 2.0, 3.0, 4.0, 5.0],
+    ),
 }
 
 
@@ -669,7 +687,7 @@ LAX_LINES = {
 def test_lax_ledger_line_is_corrupt(tmp_path, case):
     kind, index, field, value = LAX_LINES[case]
     path = tmp_path / f"{kind}.jsonl"
-    (write_freq_ledger if kind == "freq" else write_bayes_ledger)(path)
+    LEDGER_WRITERS[kind](path)
     lines = path.read_text().splitlines()
     entry = mutate(json.loads(lines[index + 1]), field, value)
     lines[index + 1] = json.dumps(entry)

@@ -597,6 +597,23 @@ class TestFailedWrite:
             assert reopened.propose("t2", 1, B, 0.025).sequence == 2
 
 
+    def test_failed_create_leaves_no_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "l.jsonl"
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(enfp.ledger.os, "fsync", no_space)
+        with pytest.raises(OSError, match="No space"):
+            Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09)
+        monkeypatch.undo()
+        assert not path.exists()
+        with Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09):
+            pass
+        with Ledger.open(path) as reopened:
+            assert reopened.entries() == ()
+
+
 class TestStoredNumbers:
     def test_tampered_spent_after_of_non_spending_entries(self, tmp_path):
         # A negative Bayesian outcome and a frequentist outcome store a

@@ -1,6 +1,7 @@
 """Round-trip and error-reporting tests for trial-record serialization."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -296,6 +297,37 @@ class TestJsonRoundTrip:
         assert back == rec
         assert back.measures[1].censor_interval == (-0.75, 2.25)
 
+    def test_infinities_are_strict_json(self, tmp_path):
+        # An infinite z or censoring bound is written as a number that a
+        # strict parser reads as infinite, and text in strings is kept.
+        inf = float("inf")
+        records = (
+            TrialRecord(
+                'Infinity "z": -Infinity',
+                2,
+                FailureRegionType.A,
+                (
+                    _exact(1, inf),
+                    EfficacyMeasure(2, censor_interval=(-inf, 1.5)),
+                ),
+                RejectionPolicy.at_alpha(0.05, 2, FailureRegionType.A),
+            ),
+            TrialRecord(
+                "t-2", 1, FailureRegionType.B, (_exact(1, -inf),),
+                RejectionPolicy.at_alpha(0.025, 1, FailureRegionType.B),
+            ),
+        )
+        path = tmp_path / "r.json"
+        records_to_json(records, path)
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        strict = json.loads(path.read_text(), parse_constant=refuse)
+        assert records_from_json(path) == records
+        assert [record_from_dict(t) for t in strict["trials"]] == list(records)
+        assert strict["trials"][0]["trial_id"] == records[0].trial_id
+
     def test_dict_round_trip(self):
         for rec in _assorted_records():
             assert record_from_dict(record_to_dict(rec)) == rec
@@ -332,8 +364,6 @@ class TestJsonRoundTrip:
         bad = dict(good, m=5)
         path = tmp_path / "r.json"
         records_to_json([], path)  # placeholder write for structure
-        import json
-
         path.write_text(
             json.dumps(
                 {"format": "enfp-records/1", "trials": [good, bad]}

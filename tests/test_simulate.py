@@ -23,6 +23,7 @@ from enfp.simulate import (
     ScenarioConfig,
     _bin_counts,
     _binned_check,
+    _draw_counts,
     _mean_check,
     _noise_allowance,
     check_concordance,
@@ -504,6 +505,93 @@ UNITS = st.lists(
 )
 
 
+def slot_level_counts(draw, bin_width):
+    """The counts of ``_draw_counts`` built from per-slot index arrays:
+    the reference the per-trial form must equal array for array."""
+    values, index = np.unique(draw.alpha, return_inverse=True)
+    k = values.size
+    slots = np.flatnonzero(draw.valid)
+    rows = slots // draw.valid.shape[1]
+    slot_null = draw.theta.ravel()[slots] <= ZERO_TOLERANCE
+    slot_alpha = np.bincount(index[rows] * 2 + slot_null, minlength=2 * k)
+    trial_alpha = np.bincount(index * 2 + draw.null_truth, minlength=2 * k)
+    single = np.flatnonzero(draw.m == 1)
+    multi = np.flatnonzero(draw.m[rows] > 1)
+    return {
+        "first": (values, slot_alpha.reshape(k, 2)),
+        "second": (values, trial_alpha.reshape(k, 2)),
+        "third": _bin_counts(
+            draw.z[single, 0],
+            draw.null_truth[single],
+            draw.positive[single],
+            bin_width,
+        ),
+        "fourth": _bin_counts(
+            draw.z.ravel()[slots[multi]],
+            slot_null[multi],
+            draw.positive[rows[multi]],
+            bin_width,
+        ),
+    }
+
+
+DESIGNS = st.one_of(
+    st.just(((1, B, 1.0),)),  # m_max = 1: no multi-endpoint slot
+    st.just(((2, A, 0.5), (4, A, 0.5))),  # all type A: no single trial
+    st.lists(
+        st.tuples(
+            st.integers(1, 4), st.sampled_from([A, B]), st.floats(0.1, 1.0)
+        ),
+        min_size=1,
+        max_size=4,
+    ).map(tuple),
+)
+
+
+class TestDrawCounts:
+    """The per-trial counts of each draw against the slot-level form."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        designs=DESIGNS,
+        support=st.lists(
+            st.sampled_from([-2.0, -0.5, 0.0, 1e-12, 0.7, 2.5]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        kind=st.sampled_from(
+            ["fixed_alpha", "signal_concordant", "adversarial"]
+        ),
+        menu=st.sampled_from(
+            [(0.025,), (0.01, 0.05), (0.005, 0.01, 0.025, 0.05)]
+        ),
+        n_trials=st.integers(1, 300),
+        rc=st.sampled_from([0.0, 0.5]),
+        seed=st.integers(0, 2**32),
+        bin_width=st.sampled_from([0.25, 1.0]),
+    )
+    def test_equals_slot_level_counts(
+        self, designs, support, kind, menu, n_trials, rc, seed, bin_width
+    ):
+        cfg = ScenarioConfig(
+            true_prior=(support, [1.0] * len(support)),
+            n_trials=n_trials,
+            m_distribution=designs,
+            policy=PolicySpec(kind=kind, alpha_menu=menu),
+            seed=seed,
+            endpoint_correlation=rc,
+        )
+        draw = draw_population(cfg, 0)
+        got = _draw_counts(draw, bin_width)
+        expected = slot_level_counts(draw, bin_width)
+        assert got.keys() == expected.keys()
+        for check, arrays in expected.items():
+            for have, want in zip(got[check], arrays):
+                assert have.dtype == want.dtype, check
+                assert np.array_equal(have, want), check
+
+
 class TestBinnedCheckCounts:
     """The bincount implementation against the per-bin loop."""
 
@@ -600,19 +688,41 @@ class TestBinnedCheckCounts:
             check_concordance([])
 
 
+def traced_peak(cfg):
+    """tracemalloc's peak over ``validate_bounds(cfg)``, in bytes."""
+    tracemalloc.start()
+    try:
+        validate_bounds(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def draw_bytes(draw):
+    """The bytes the arrays of one PopulationDraw hold."""
+    return sum(
+        value.nbytes
+        for value in vars(draw).values()
+        if isinstance(value, np.ndarray)
+    )
+
+
 class TestStreaming:
     def test_memory_does_not_grow_with_replicates(self):
         def peak(replicates):
-            cfg = mixed_scenario(n_trials=20_000, replicates=replicates)
-            tracemalloc.start()
-            try:
-                validate_bounds(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(
+                mixed_scenario(n_trials=20_000, replicates=replicates)
+            )
 
         peak(1)  # first-call allocations (caches, lazy imports)
         assert peak(8) <= 1.3 * peak(2)
+
+    def test_a_replicate_holds_about_one_draw(self):
+        # The draw is built in place and counted from per-trial arrays,
+        # so the temporaries beside a draw stay below one more draw.
+        cfg = mixed_scenario(n_trials=20_000)
+        traced_peak(cfg)  # first-call allocations
+        assert traced_peak(cfg) <= 2 * draw_bytes(draw_population(cfg, 0))
 
 
 # The golden file's cases and their inputs live in the script that wrote
