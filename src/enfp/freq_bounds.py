@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple, Union
@@ -34,6 +35,8 @@ _FLOOR_SLACK = 1e-12
 # Exact sums are Python ints in units of 2**-1074, the smallest subnormal
 # double, of which every finite double is a multiple.
 _SUM_EXP = 1074
+# The largest endpoint count m: m * rho must be a float.
+_M_MAX = sys.float_info.max
 
 
 def _exact(x: float) -> int:
@@ -46,7 +49,16 @@ def _exact(x: float) -> int:
 
 
 def _read(total: int, n: int = 1) -> float:
-    """Correctly rounded total * 2**-1074 / n; math.fsum's value at n=1."""
+    """Correctly rounded total * 2**-1074 / n; math.fsum's value at n=1.
+
+    At n=1 a total of over 64 bits rounds as its top 64 bits do unless
+    those end in a tie, and is normal: no division is needed.
+    """
+    cut = total.bit_length() - 64
+    if n == 1 and cut > 0:
+        top = total >> cut
+        if top & 0x7FF != 0x400:
+            return math.ldexp(top, cut - _SUM_EXP)
     return total / (n << _SUM_EXP)
 
 
@@ -114,8 +126,8 @@ def delta(rho: float, m: int, t: FailureRegionType) -> float:
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    if not 1 <= m <= _M_MAX:
+        raise ValueError("m must be >= 1 and at most the largest float")
     t = t if isinstance(t, FailureRegionType) else FailureRegionType(t)
     return rho if t is FailureRegionType.A else m * rho
 

@@ -24,7 +24,15 @@ once and stores what it gives; reopening a ledger calls it for every
 line, reads the stored numbers as strictly and marks the file corrupt
 unless each equals the derived one.  So replay refuses, naming the line
 and the field, any line the live path would not write.  Non-finite
-numbers are refused: the file is strict JSON.  An entry that spends
+numbers are refused: the file is strict JSON.
+
+Reopening splits the file at newlines only, refuses a line that is not
+UTF-8, and decodes a line that is exactly one JSON object in one call to
+the scanner of ``json.loads`` (any other goes to ``json.loads``).  A
+field already as its ``_fields`` reader returns it is taken as it
+stands; any other goes through the reader, which alone refuses.
+
+An entry that spends
 is read through the endpoint rule of ``enfp.trials``, which
 ``enfp.bayes_bounds`` uses too.  ``enfp.hcurve`` (and numpy) load only
 where a live operation freezes a trial's h values: replaying a file of
@@ -57,7 +65,7 @@ import time
 from dataclasses import dataclass, field
 
 from enfp import _fields
-from enfp.freq_bounds import _exact, _read, _tau_from_sums, delta
+from enfp.freq_bounds import _M_MAX, _exact, _read, _tau_from_sums, delta
 from enfp.trials import CannotClassifyError, FailureRegionType, TrialRecord
 from enfp.trials import _read_endpoints
 
@@ -73,6 +81,11 @@ __all__ = [
 ]
 
 LEDGER_FORMAT = "enfp-ledger/1"
+
+_KINDS = ("proposal", "outcome", "adjustment")
+# The scanner of json.loads: one C call decodes a line (Ledger._parse_line).
+_SCAN = json.JSONDecoder().scan_once
+
 
 class LedgerError(ValueError):
     """Invalid ledger operation or configuration."""
@@ -172,34 +185,63 @@ class _StratumState:
         self.sum_contribution += _exact(contribution)
         self.contributions.append(contribution)
 
+    def apply(self, kind: str, x, y) -> None:
+        """Add an entry of ``kind``: a proposal's exact delta and alpha,
+        or whether an outcome is positive and the contribution it spends
+        (None for none)."""
+        if kind == "proposal":
+            return self.accept(x, y)
+        if y is not None:
+            self.spend(y)
+        if kind == "adjustment":
+            self.n_adjustments += 1
+        else:
+            self.n_outcomes += 1
+            self.n_positive += x
+
 
 def _facts(entry: dict, endpoint_mode: str | None) -> tuple:
     """``(kind, stratum, note, m, t, alpha, outcome, spend)`` of an entry,
     read strictly, where ``spend`` is the contribution of an entry that
     spends in a Bayesian ledger of ``endpoint_mode`` (None in a
     frequentist one), and None is a fact an entry lacks.  Raises
-    LedgerError naming the field (``payload.alpha: ...``)."""
+    LedgerError naming the field (``payload.alpha: ...``).  A field goes
+    through ``_fields`` only where it is not what the reader returns."""
+    read = _fields.read
     alpha = outcome = spend = None
     try:
-        kind = _fields.read(
-            entry, "kind", str, choices=("proposal", "outcome", "adjustment")
-        )
-        _fields.read(entry, "trial_id", str)
-        stratum = _fields.read(entry, "stratum", str, default=None)
-        note = _fields.read(entry, "note", str, default=None)
-        payload = _fields.read(entry, "payload", dict)
-        m = _fields.read(payload, "m", int, "payload.")
-        if m < 1:
-            raise _fields.error("payload.m", m, "an integer >= 1")
-        t = _fields.read(payload, "t", str, "payload.", choices=("A", "B"))
+        kind = entry.get("kind")
+        if type(kind) is not str or kind not in _KINDS:
+            kind = read(entry, "kind", str, choices=_KINDS)
+        if type(entry.get("trial_id")) is not str or not entry["trial_id"]:
+            read(entry, "trial_id", str)
+        stratum, note = entry.get("stratum"), entry.get("note")
+        if stratum is not None or note is not None:
+            stratum = read(entry, "stratum", str, default=None)
+            note = read(entry, "note", str, default=None)
+        payload = entry.get("payload")
+        if type(payload) is not dict:
+            payload = read(entry, "payload", dict)
+        m = payload.get("m")
+        if type(m) is not int:
+            m = read(payload, "m", int, "payload.")
+        if not 1 <= m <= _M_MAX:  # m * rho must be a float
+            raise _fields.error(
+                "payload.m", m, "an integer from 1 to the largest float"
+            )
+        t = payload.get("t")
+        if type(t) is not str or t not in ("A", "B"):
+            t = read(payload, "t", str, "payload.", choices=("A", "B"))
         if kind == "proposal":
-            alpha = _fields.read(payload, "alpha", float, "payload.")
-            if not 0.0 < alpha < 1.0:
-                raise _fields.error(
-                    "payload.alpha", alpha, "a number in (0, 1)"
-                )
+            alpha = payload.get("alpha")
+            if type(alpha) is not float or not 0.0 < alpha < 1.0:
+                alpha = read(payload, "alpha", float, "payload.")
+                if not 0.0 < alpha < 1.0:
+                    raise _fields.error(
+                        "payload.alpha", alpha, "a number in (0, 1)"
+                    )
         else:
-            outcome = _fields.read(
+            outcome = read(
                 payload, "outcome", str, "payload.",
                 None if kind == "adjustment" else _fields.REQUIRED,
                 ("positive", "negative"),
@@ -222,8 +264,8 @@ def _facts(entry: dict, endpoint_mode: str | None) -> tuple:
                         raise _fields.error(
                             f"payload.h[{j}]", value, "a number in [0, 1]"
                         )
-                read = _read_endpoints(z, t == "A", endpoint_mode)
-                spend = math.fsum([1.0 - h[j] for j in read])
+                endpoints = _read_endpoints(z, t == "A", endpoint_mode)
+                spend = math.fsum([1.0 - h[j] for j in endpoints])
     except ValueError as exc:
         raise LedgerError(str(exc)) from exc
     return kind, stratum, note, m, t, alpha, outcome, spend
@@ -363,9 +405,19 @@ class Ledger:
         ledger._fh = open(path, "a", encoding="utf-8")
         try:
             ledger._write_line(line)
+            # Its name is durable once the directory is synced too (on
+            # POSIX; Windows opens no directory).
+            if os.name == "posix":
+                folder = os.path.dirname(os.path.abspath(path))
+                fd = os.open(folder, os.O_RDONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
         except OSError:
-            # The file holds no header, so nothing could open it: remove
-            # it, so that a rerun can create the ledger.
+            # The file holds no durable header, so nothing could open it:
+            # remove it, so that a rerun can create the ledger.
+            ledger.close()
             with contextlib.suppress(OSError):
                 os.remove(path)
             raise
@@ -383,7 +435,7 @@ class Ledger:
         """
         started = time.perf_counter()
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 file_bytes = os.fstat(fh.fileno()).st_size
                 lines = cls._read_lines(fh)
         except OSError as exc:
@@ -396,7 +448,7 @@ class Ledger:
         except LedgerError as exc:
             raise LedgerCorruptError(f"line 1: invalid header ({exc})") from exc
         for lineno, raw in enumerate(lines[1:], start=2):
-            ledger._replay(cls._parse_line(raw, lineno), f"line {lineno}")
+            ledger._replay(cls._parse_line(raw, lineno), lineno)
         ledger._fh = open(path, "a", encoding="utf-8")
         ledger._replay_stats = ReplayStats(
             entries=len(ledger._entries),
@@ -432,8 +484,8 @@ class Ledger:
             },
             "note": None,
         }
-        state, numbers, apply = self._derive(entry)
-        projected = numbers["projected"]
+        state, numbers, change = self._derive(entry)
+        projected = numbers[0][1]
         if projected > state.budget:
             return ProposeDecision(
                 accepted=False,
@@ -446,7 +498,7 @@ class Ledger:
             projected=projected,
             spent=projected,
             budget=state.budget,
-            sequence=self._commit(entry, numbers, apply),
+            sequence=self._commit(entry, state, numbers, change),
         )
 
     def record_outcome(self, trial: TrialRecord, model=None) -> OutcomeRecord:
@@ -646,14 +698,15 @@ class Ledger:
         # any stratum label is kept on the entry for audit only.
         return self._strata[None]
 
-    def _derive(self, entry: dict):
+    def _derive(self, entry: dict) -> tuple:
         """The numbers ``entry`` stores, derived from its facts and the
         running state, without changing anything.
 
-        Returns ``(state, numbers, apply)``: the entry's stratum state;
-        ``{"projected": ...}`` for a proposal, or ``{"spend_delta": ...,
-        "spent_after": ...}`` for an outcome or adjustment; and a
-        function that applies the entry to the state.  An entry that
+        Returns ``(state, numbers, change)``: the entry's stratum state;
+        the ``(key, value)`` pairs it stores, ``projected`` for a
+        proposal or ``spend_delta`` and ``spent_after`` for an outcome or
+        adjustment; and the ``(kind, x, y)`` that
+        :meth:`_StratumState.apply` adds to the state.  An entry that
         breaks a rule of the ledger, or that :func:`_facts` cannot read,
         raises LedgerError.
         """
@@ -665,38 +718,21 @@ class Ledger:
                 raise LedgerError("propose is a frequentist-mode operation")
             state = self._resolve_stratum(stratum)
             d, a = _exact_design(state.rho_hat, m, t, alpha)
-            return (
-                state,
-                {"projected": state.projected(d, a, 1)},
-                lambda: state.accept(d, a),
-            )
+            projected = state.projected(d, a, 1)
+            return state, (("projected", projected),), (kind, d, a)
         if kind == "adjustment":
             if self._mode != "bayes":
                 raise LedgerError("adjustments are a bayes-mode operation")
             if not (note and note.strip()):
                 raise LedgerError("an adjustment requires a non-empty note")
         state = self._resolve_stratum(stratum)
-        positive = outcome == "positive"
         spend_delta = 0.0 if spend is None else spend
         if self._mode == "frequentist":
             spent_after = state.projected()
         else:
             spent_after = state.bayes_spent(spend_delta)
-
-        def apply() -> None:
-            if spend is not None:
-                state.spend(spend_delta)
-            if kind == "adjustment":
-                state.n_adjustments += 1
-            else:
-                state.n_outcomes += 1
-                state.n_positive += positive
-
-        return (
-            state,
-            {"spend_delta": spend_delta, "spent_after": spent_after},
-            apply,
-        )
+        numbers = (("spend_delta", spend_delta), ("spent_after", spent_after))
+        return state, numbers, (kind, outcome == "positive", spend)
 
     def _record(self, kind: str, trials, model, note) -> list:
         """Append an outcome or adjustment of each of ``trials``, or of
@@ -713,13 +749,14 @@ class Ledger:
         return [self._append(entry) for entry in entries]
 
     def _append(self, entry: dict) -> OutcomeRecord:
-        state, numbers, apply = self._derive(entry)
+        state, numbers, change = self._derive(entry)
+        (_, spend_delta), (_, spent_after) = numbers
         return OutcomeRecord(
-            sequence=self._commit(entry, numbers, apply),
+            sequence=self._commit(entry, state, numbers, change),
             kind=entry["kind"],
             trial_id=entry["trial_id"],
-            spend_delta=numbers["spend_delta"],
-            spent=numbers["spent_after"],
+            spend_delta=spend_delta,
+            spent=spent_after,
             budget=state.budget,
         )
 
@@ -747,43 +784,48 @@ class Ledger:
             "note": note,
         }
 
-    def _commit(self, entry: dict, numbers: dict, apply) -> int:
+    def _commit(self, entry: dict, state, numbers, change) -> int:
         """Store the derived ``numbers``, the sequence and the time in
-        ``entry``, append it durably, then apply it; returns the sequence.
-        An entry that cannot be encoded or written changes no state."""
+        ``entry``, append it durably, then apply its ``change`` to
+        ``state``; returns the sequence.  An entry that cannot be encoded
+        or written changes no state."""
         entry.update(
             numbers, sequence=len(self._entries) + 1, timestamp=time.time()
         )
         self._write_line(self._encode_line(entry))
-        apply()
+        state.apply(*change)
         self._entries.append(entry)
         return entry["sequence"]
 
-    def _replay(self, entry: dict, where: str) -> None:
+    def _replay(self, entry: dict, lineno: int) -> None:
         """Apply a stored entry once its sequence follows on and every
         number it stores, read strictly, equals the one :meth:`_derive`
-        gives.  Every refusal is a ValueError: a LedgerError, or the
-        error of a ``_fields`` reader."""
+        gives, read as :func:`_facts` reads a field.  Every refusal is a
+        ValueError: a LedgerError, or the error of a ``_fields`` reader."""
         expected = len(self._entries) + 1
         try:
-            state, numbers, apply = self._derive(entry)
-            sequence = _fields.read(entry, "sequence", int)
+            state, numbers, change = self._derive(entry)
+            sequence = entry.get("sequence")
+            if type(sequence) is not int:
+                sequence = _fields.read(entry, "sequence", int)
             if sequence != expected:
                 raise LedgerError(
                     f"sequence {sequence} breaks contiguity (expected "
                     f"{expected})"
                 )
-            for key, value in numbers.items():
-                got = _fields.read(entry, key, float)
+            for key, value in numbers:
+                got = entry.get(key)
+                if type(got) is not float or got - got != 0.0:
+                    got = _fields.read(entry, key, float)
                 if got != value:
                     raise LedgerError(
                         f"stored {key} {got!r} does not replay ({value!r})"
                     )
-            if numbers.get("projected", 0.0) > state.budget:
+            if change[0] == "proposal" and numbers[0][1] > state.budget:
                 raise LedgerError("accepted proposal exceeds the budget")
         except ValueError as exc:
-            raise LedgerCorruptError(f"{where}: {exc}") from exc
-        apply()
+            raise LedgerCorruptError(f"line {lineno}: {exc}") from exc
+        state.apply(*change)
         self._entries.append(entry)
 
     def _write_line(self, line: str) -> None:
@@ -827,27 +869,42 @@ class Ledger:
 
     @staticmethod
     def _read_lines(fh) -> list:
-        """The lines of a ledger file, without their newlines.
+        """The lines of a ledger file, split at each newline (and at no
+        other line break) and without them.
 
         A last line without its newline is refused: every write ends
         with one, so the last write was torn, and an append would join
-        the next entry onto it.  The file's text is released on return,
-        before the replay.
+        the next entry onto it.  A line that is not UTF-8 is refused.
+        The file's bytes are released on return, before the replay.
         """
-        text = fh.read()
-        lines = text.splitlines()
-        if lines and not text.endswith("\n"):
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            lineno = data.count(b"\n") + 1
             raise LedgerCorruptError(
-                f"line {len(lines)}: unterminated (torn) last line; the "
-                "last write did not finish"
+                f"line {lineno}: unterminated (torn) last line; the last "
+                "write did not finish"
             )
-        return lines
+        try:
+            return data.decode("utf-8").split("\n")[:-1]
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise LedgerCorruptError(
+                f"line {lineno}: not UTF-8 text ({exc.reason})"
+            ) from None
 
     @staticmethod
     def _parse_line(raw: str, lineno: int) -> dict:
+        """The object on a line.  A line that is not exactly one object
+        goes to ``json.loads``, which accepts or refuses it."""
+        try:
+            obj, end = _SCAN(raw, 0)
+            if end == len(raw) and type(obj) is dict:
+                return obj
+        except (ValueError, StopIteration):
+            pass
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past int's digit limit
             raise LedgerCorruptError(
                 f"line {lineno}: invalid JSON ({exc})"
             ) from exc

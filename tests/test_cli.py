@@ -927,6 +927,23 @@ class TestLedgerCli:
         )
         assert code == 2
 
+    def test_propose_with_m_past_the_largest_float_is_data_error(
+        self, capsys, tmp_path
+    ):
+        # m * rho would overflow a float: refused, naming the field, with
+        # the file left as it was.
+        path = tmp_path / "led.jsonl"
+        args = ("--mode", "freq", "--budget", "1", "--rho", "0.09")
+        assert run(capsys, "ledger", "init", str(path), *args)[0] == 0
+        before = path.read_bytes()
+        code, out, err = run(
+            capsys, "ledger", "propose", str(path), "--trial-id", "t-1",
+            "--alpha", "0.025", "--type", "B", "--m", str(10**400),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("enfp: error: payload.m: ") and err.count("\n") == 1
+        assert path.read_bytes() == before
+
     def test_stratified_flow(self, capsys, tmp_path):
         path = tmp_path / "led.jsonl"
         code, out, _ = run(

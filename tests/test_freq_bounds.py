@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,17 @@ class TestDelta:
             delta(-0.1, 1, B)
         with pytest.raises(ValueError):
             delta(0.5, 0, B)
+
+    @pytest.mark.parametrize("t", [A, B])
+    def test_m_past_the_largest_float_refused(self, t):
+        # m * rho would overflow: refused as a ValueError, not an
+        # OverflowError, by delta and by the bound that calls it.
+        assert delta(0.5, int(sys.float_info.max), t) >= 0.5
+        with pytest.raises(ValueError, match="largest float"):
+            delta(0.5, 10**400, t)
+        bound = FreqBoundInput(0.5, ((10**400, t, 0.05),))
+        with pytest.raises(ValueError, match="largest float"):
+            tau_hat_mixed(bound)
 
 
 class TestTauHatSingle:
@@ -238,6 +251,37 @@ MAGNITUDES = st.one_of(
     st.sampled_from([5e-324, 1e-300, 1e-17, 0.025, 0.1, 1.0, 1e3]),
 )
 SIGNED = st.builds(lambda x, neg: -x if neg else x, MAGNITUDES, st.booleans())
+
+
+# Exact sums of both signs: subnormal and normal values, values near the
+# overflow at 2**1024 (2**2098 units), and 64-bit tops that end in a tie
+# above cut bits that are zero or not.
+EXACT_SUMS = st.one_of(
+    st.integers(-(2**60), 2**60),
+    st.integers(-(2**2100), 2**2100),
+    st.integers(2**2098 - 2**2046, 2**2098 + 2**2046),
+    st.builds(
+        lambda top, cut, low, sign: sign
+        * (((top << 11 | 0x400) << cut) + low % (1 << cut)),
+        st.integers(2**52, 2**53 - 1),
+        st.integers(1, 2030),
+        st.integers(0, 2**2030) | st.just(0) | st.just(1),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+class TestRead:
+    @settings(max_examples=1000, deadline=None)
+    @given(EXACT_SUMS, st.sampled_from([1, 1, 1, 3]))
+    def test_correctly_rounded(self, total, n):
+        try:
+            expected = float(Fraction(total, n << 1074))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _read(total, n)
+            return
+        assert _read(total, n) == expected
 
 
 class TestExactSum:

@@ -669,6 +669,8 @@ LAX_LINES = {
     "outcome_maybe": ("bayes", 2, ("payload", "outcome"), "maybe"),
     "positive_m_fraction": ("bayes", 1, ("payload", "m"), 1.5),
     "positive_m_true": ("bayes", 1, ("payload", "m"), True),
+    # m * rho would overflow a float.
+    "proposal_m_past_the_largest_float": ("freq", 0, ("payload", "m"), 10**400),
     "z_string_element": ("bayes", 2, ("payload", "z"), ["3.0"]),
     "negative_z_string": ("bayes", 2, ("payload", "z"), "abc"),
     "outcome_trial_id_null": ("bayes", 2, ("trial_id",), None),

@@ -4,6 +4,8 @@ import errno
 import importlib.util
 import json
 import math
+import os
+import stat
 import time
 import types
 from pathlib import Path
@@ -562,6 +564,131 @@ class TestCorruption:
             Ledger.open(path)
         assert path.read_bytes() == torn
 
+    def test_torn_multibyte_character_is_a_torn_line(self, tmp_path):
+        path = tmp_path / "l.jsonl"
+        with Ledger.create(
+            path, "frequentist", budget=1.0, rho_hat=0.09
+        ) as led:
+            led.propose("t0", 1, B, 0.025)
+        # The last write stopped inside the two bytes of an e-acute.
+        torn = '{"trial_id":"\u00e9'.encode()[:-1]
+        path.write_bytes(path.read_bytes() + torn)
+        with pytest.raises(LedgerCorruptError, match=r"line 3: unterminated"):
+            Ledger.open(path)
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_undecodable_byte_names_its_line(self, tmp_path, index):
+        path = tmp_path / "l.jsonl"
+        self._freq_ledger(path)
+        lines = path.read_bytes().split(b"\n")
+        lines[index] = lines[index][:20] + b"\xff" + lines[index][20:]
+        path.write_bytes(b"\n".join(lines))
+        match = rf"^line {index + 1}: not UTF-8 text \(invalid start byte\)$"
+        with pytest.raises(LedgerCorruptError, match=match):
+            Ledger.open(path)
+
+    def test_lines_split_at_newlines_only(self, tmp_path):
+        # A raw U+2028 or U+0085 in a string is valid JSON and UTF-8: the
+        # line holding it replays as its escaped form does, and the lines
+        # after it keep their numbers.
+        path = tmp_path / "l.jsonl"
+        self._freq_ledger(path)
+        with Ledger.open(path) as led:
+            led.propose("t\u2028x\x85y", 1, B, 0.025)
+            led.propose("t6", 1, B, 0.025)
+            escaped = (led.status(), led.entries())
+        text = path.read_text(encoding="utf-8")
+        raw = text.replace("\\u2028x\\u0085y", "\u2028x\x85y")
+        assert raw != text
+        path.write_text(raw, encoding="utf-8")
+        with Ledger.open(path) as led:
+            assert (led.status(), led.entries()) == escaped
+        path.write_text(
+            raw.replace('"sequence":7', '"sequence":9'), encoding="utf-8"
+        )
+        with pytest.raises(LedgerCorruptError, match=r"^line 8: sequence 9"):
+            Ledger.open(path)
+
+    def test_integer_past_the_digit_limit_names_its_line(self, tmp_path):
+        # json.loads refuses an integer of more than 4300 digits with a
+        # plain ValueError, which is not a JSONDecodeError.
+        path = tmp_path / "l.jsonl"
+        self._freq_ledger(path)
+        path.write_text(
+            path.read_text().replace('"m":1,', '"m":1' + "0" * 5000 + ",", 1)
+        )
+        with pytest.raises(LedgerCorruptError, match=r"^line 2: invalid JSON"):
+            Ledger.open(path)
+
+
+def _loads_every_line(raw: str):
+    """What a line read by ``json.loads`` alone gives: the object, or the
+    text of the refusal after ``line N: ``."""
+    try:
+        obj = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON ({exc})"
+    return obj if isinstance(obj, dict) else "expected a JSON object"
+
+
+def _parse(raw: str):
+    try:
+        return Ledger._parse_line(raw, 2)
+    except LedgerCorruptError as exc:
+        assert str(exc).startswith("line 2: ")
+        return str(exc)[len("line 2: "):]
+
+
+class TestParseLine:
+    """A line decoded in one call is accepted or refused, with the same
+    message, as ``json.loads`` of the line would have it."""
+
+    ENTRY = (
+        '{"kind":"proposal","note":null,"payload":{"alpha":0.025,"m":1,'
+        '"t":"B"},"projected":0.00225,"sequence":1,"stratum":null,'
+        '"timestamp":1.5,"trial_id":"t0"}'
+    )
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            ENTRY,
+            f"  {ENTRY}\t ",
+            f" {ENTRY}",
+            f"{ENTRY}\r",
+            f"{ENTRY} x",
+            f"{ENTRY}{{}}",
+            "{}{}",
+            "{}",
+            f"[{ENTRY}]",
+            "[]",
+            f"\ufeff{ENTRY}",
+            "NaN",
+            "-Infinity",
+            '{"a":NaN}',
+            '"text"',
+            "",
+            " ",
+            "{",
+            '{"a":1,}',
+        ],
+    )
+    def test_same_decision_and_message(self, raw):
+        assert _parse(raw) == _loads_every_line(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet=' \t\r{}[]":,0123456789.eE+-aNInfinityultrse\ufeff')
+        | st.recursive(
+            st.none() | st.booleans() | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=6,
+        ).map(json.dumps)
+    )
+    def test_same_as_json_loads(self, raw):
+        assert _parse(raw) == _loads_every_line(raw)
+
 
 class TestFailedWrite:
     """An append whose write or fsync fails changes no state: the file is
@@ -607,6 +734,32 @@ class TestFailedWrite:
         with pytest.raises(OSError, match="No space"):
             Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09)
         monkeypatch.undo()
+        assert not path.exists()
+        with Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09):
+            pass
+        with Ledger.open(path) as reopened:
+            assert reopened.entries() == ()
+
+    def test_failed_directory_fsync_leaves_no_file(
+        self, tmp_path, monkeypatch
+    ):
+        # The header is synced, then its directory (Pillai et al., OSDI
+        # 2014); if the directory's sync fails, no ledger is made.
+        path = tmp_path / "l.jsonl"
+        fsync, synced = os.fsync, []
+
+        def directory_full(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            if stat.S_ISDIR(info.st_mode):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            fsync(fd)
+
+        monkeypatch.setattr(enfp.ledger.os, "fsync", directory_full)
+        with pytest.raises(OSError, match="No space"):
+            Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09)
+        monkeypatch.undo()
+        assert synced == [(False, synced[0][1]), (True, tmp_path.stat().st_ino)]
         assert not path.exists()
         with Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09):
             pass
