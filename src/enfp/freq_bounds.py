@@ -149,7 +149,12 @@ def tau_hat_single(rho_hat: float, alphas: Sequence[float]) -> float:
 
 def _tau_from_sums(sum_delta: int, sum_alpha: int, n: int) -> float:
     """(sum delta)(sum alpha)/n from exact sums; 0 with no trials."""
-    return _read(sum_delta) * _read(sum_alpha) / n if n else 0.0
+    if not n:
+        return 0.0
+    try:
+        return _read(sum_delta) * _read(sum_alpha) / n
+    except OverflowError:
+        raise ValueError("sum of deltas passes the largest float") from None
 
 
 def _tau_from_counts(rho: float, designs, alphas, n: int) -> float:

@@ -12,10 +12,16 @@ by their row maximum before exponentiation, so the largest term is
 exactly 1 and the total can neither overflow nor underflow.  h is then
 the positive sum over the total, which keeps the curve accurate far
 into both tails.
+
+``h_values`` works in blocks shared across the CPUs the process may use,
+one thread and one reused 512 KiB block buffer per CPU; the results do
+not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -29,9 +35,12 @@ ZERO_TOLERANCE = 1e-12
 
 # Working-set budget of h_values, in doubles: each pass evaluates
 # max(1, _BLOCK // support size) rows of z, so its (rows x support)
-# temporary stays near 2^16 doubles (512 KiB) and fits in a core's L2
+# buffer stays near 2^16 doubles (512 KiB) and fits in a core's L2
 # cache whatever the grid size.
 _BLOCK = 1 << 16
+# CPUs the process may run on: h_values starts at most one less thread.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 class HRangeError(ValueError):
@@ -161,17 +170,42 @@ def h_values(model, z) -> np.ndarray:
     zf = flat[finite]
     hf = np.empty(zf.shape)
     rows = max(1, _BLOCK // theta.size)
-    for start in range(0, zf.size, rows):
-        stop = start + rows
-        lk = zf[start:stop, None] - theta
-        lk *= lk
-        lk *= -0.5
-        lk += log_g
-        lk -= lk.max(axis=1, keepdims=True)
-        np.exp(lk, out=lk)
-        null = lk[:, :k].sum(axis=1)
-        pos = lk[:, k:].sum(axis=1)
-        hf[start:stop] = pos / (null + pos)
+    blocks = -(-zf.size // rows)
+    workers = max(1, min(_WORKERS, blocks))
+    cuts = [min(rows * (blocks * i // workers), zf.size)
+            for i in range(workers + 1)]
+    threads, errors = [], []
+
+    def share(lo: int, hi: int) -> None:
+        try:
+            buf = np.empty((min(rows, hi - lo), theta.size))
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                lk = np.subtract(zf[start:stop, None], theta,
+                                 out=buf[: stop - start])
+                lk *= lk
+                lk *= -0.5
+                lk += log_g
+                lk -= lk.max(axis=1, keepdims=True)
+                np.exp(lk, out=lk)
+                null = lk[:, :k].sum(axis=1)
+                pos = lk[:, k:].sum(axis=1)
+                hf[start:stop] = pos / (null + pos)
+        except BaseException as exc:
+            errors.append(exc)
+
+    # One contiguous share of blocks per worker, the first on this thread.
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            thread = threading.Thread(target=share, args=(lo, hi))
+            thread.start()
+            threads.append(thread)
+        share(cuts[0], cuts[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     out[finite] = hf
     # Infinite z saturates to the relevant limit: the posterior piles
     # onto the extreme end of the grid support.
@@ -247,7 +281,8 @@ def z_for_h(model, h0: float, tol: float = 1e-8) -> float:
     Args:
         model: prior model.
         h0: target h-probability, strictly inside the attainable range.
-        tol: bisection width |delta z| at termination.
+        tol: bisection width |delta z| at termination; bisection also
+            stops at two adjacent floats.
 
     Returns:
         z* such that h(z*) >= h0 and h(z* - tol) < h0.
@@ -255,7 +290,10 @@ def z_for_h(model, h0: float, tol: float = 1e-8) -> float:
     Raises:
         HRangeError: when h0 is not attainable for this prior (the
             message names the attainable interval).
+        ValueError: when tol is not finite and > 0.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     support, _, k = _support(model)
     if not 0 < k < support.size:
         fixed = 1.0 if k < support.size else 0.0
@@ -289,6 +327,8 @@ def z_for_h(model, h0: float, tol: float = 1e-8) -> float:
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: no narrower bracket exists
+            break
         if h_values(model, np.asarray([mid]))[0] >= h0:
             hi = mid
         else:

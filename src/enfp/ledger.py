@@ -718,7 +718,10 @@ class Ledger:
                 raise LedgerError("propose is a frequentist-mode operation")
             state = self._resolve_stratum(stratum)
             d, a = _exact_design(state.rho_hat, m, t, alpha)
-            projected = state.projected(d, a, 1)
+            try:
+                projected = state.projected(d, a, 1)
+            except ValueError as exc:  # sum delta past the largest float
+                raise LedgerError(str(exc)) from None
             return state, (("projected", projected),), (kind, d, a)
         if kind == "adjustment":
             if self._mode != "bayes":

@@ -944,6 +944,25 @@ class TestLedgerCli:
         assert err.startswith("enfp: error: payload.m: ") and err.count("\n") == 1
         assert path.read_bytes() == before
 
+    def test_propose_past_a_float_sum_of_deltas_is_data_error(
+        self, capsys, tmp_path
+    ):
+        # Each m * rho is a float but the sum of two is not: the second
+        # proposal is refused in one line, with the file left as it was.
+        path = tmp_path / "led.jsonl"
+        args = ("--mode", "freq", "--budget", "1", "--rho", "1.0")
+        assert run(capsys, "ledger", "init", str(path), *args)[0] == 0
+        propose = (
+            "ledger", "propose", str(path), "--alpha", "5e-324",
+            "--type", "B", "--m", str(10**308), "--trial-id",
+        )
+        assert run(capsys, *propose, "t-1")[0] == 0
+        before = path.read_bytes()
+        code, out, err = run(capsys, *propose, "t-2")
+        assert (code, out) == (2, "")
+        assert err == "enfp: error: sum of deltas passes the largest float\n"
+        assert path.read_bytes() == before
+
     def test_stratified_flow(self, capsys, tmp_path):
         path = tmp_path / "led.jsonl"
         code, out, _ = run(
@@ -1168,15 +1187,15 @@ class TestEntryPoint:
 
 
 def enfp_modules_after(env, *argv):
-    """The enfp submodules, and ``numpy`` if loaded, that a fresh
-    interpreter, started with ``env``, holds after a successful
-    ``cli.main(argv)``."""
+    """The enfp submodules, and ``numpy`` and the ``POOL_MODULES`` if
+    loaded, that a fresh interpreter, started with ``env``, holds after
+    a successful ``cli.main(argv)``."""
     code = (
         "import json, sys\n"
         "from enfp import cli\n"
         f"code = cli.main({list(argv)!r})\n"
-        "mods = sorted(m for m in sys.modules\n"
-        "              if m.startswith('enfp.') or m == 'numpy')\n"
+        "mods = sorted(m for m in sys.modules if m.startswith('enfp.')\n"
+        f"              or m in {sorted({'numpy'} | POOL_MODULES)!r})\n"
         "print(json.dumps([code, mods]))\n"
     )
     proc = subprocess.run(
@@ -1187,6 +1206,10 @@ def enfp_modules_after(env, *argv):
     assert code == 0
     return {m.removeprefix("enfp.") for m in mods}
 
+
+# Process and thread pools: h_values runs its threads itself, so no
+# command loads these at start-up.
+POOL_MODULES = {"concurrent.futures", "multiprocessing"}
 
 # What a frequentist command runs on exact sums never loads.
 ARRAY_PATH = {
@@ -1255,6 +1278,18 @@ class TestImportFootprint:
         )
         assert {"records_io", "numpy"} <= mods
         assert not mods & {"deconv", "ledger", "simulate"}
+
+    def test_array_commands_load_no_pool_module(self, tmp_path, src_env):
+        corpus, model = tmp_path / "corpus.csv", tmp_path / "model.json"
+        for argv in (
+            ("synth", "--out", str(corpus), "--n-exact", "200",
+             "--n-censored", "30"),
+            ("fit", str(corpus), "--out", str(model)),
+            ("hcurve", str(model), "--at", "1.96"),
+            ("simulate", str(write_scenario(tmp_path))),
+        ):
+            mods = enfp_modules_after(src_env, *argv)
+            assert not mods & POOL_MODULES, argv
 
 
 class TestNamespace:

@@ -61,6 +61,17 @@ class TestDelta:
         with pytest.raises(ValueError, match="largest float"):
             tau_hat_mixed(bound)
 
+    def test_delta_sum_past_the_largest_float_refused(self):
+        # Each delta is a float and their exact sum is not: refused as a
+        # ValueError naming the sum, not an OverflowError.  A sum that
+        # still rounds to the largest float keeps its value.
+        big = int(sys.float_info.max)
+        within = FreqBoundInput(1.0, ((big, B, 0.5), (1, A, 0.25)))
+        assert tau_hat_mixed(within) == sys.float_info.max * 0.75 / 2
+        past = FreqBoundInput(1.0, ((10**308, B, 5e-324),) * 2)
+        with pytest.raises(ValueError, match="sum of deltas passes"):
+            tau_hat_mixed(past)
+
 
 class TestTauHatSingle:
     def test_hand_evaluation(self):

@@ -1,10 +1,15 @@
 """Tests for posterior h-probabilities, curve tabulation, and inversion."""
 
+import sys
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
+from enfp import hcurve
 from enfp.deconv import FitConfig, PriorModel, fit_g_path
 from enfp.hcurve import (
     _BLOCK,
@@ -188,6 +193,116 @@ class TestBatchInvariance:
             assert np.array_equal(tiled, np.tile(h_values(model, zs), tiles))
 
 
+def zero_mass_points(model):
+    """``model`` with every third grid point, and 20 in a run, set to
+    zero mass (as in TestLogsumexpReference)."""
+    masses = np.array(model.masses)
+    masses[::3] = 0.0
+    masses[150:170] = 0.0
+    return PriorModel.from_masses(model.theta_grid, masses)
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("called where nothing may run")
+
+
+class TestWorkers:
+    """h_values shares its blocks across threads without changing a bit,
+    and no thread outlives the call."""
+
+    @pytest.fixture(scope="class")
+    def models(self, readme_model):
+        five_point = PriorModel.from_masses(
+            [-2.0, -0.5, 1.0, 2.5, 4.0], [0.12, 0.08, 0.24, 0.32, 0.24]
+        )
+        return (readme_model, five_point, zero_mass_points(readme_model))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equal_to_serial_blocks(self, models, monkeypatch, workers):
+        monkeypatch.setattr(hcurve, "_WORKERS", workers)
+        rng = np.random.default_rng(53)
+        for model in models:
+            rows = max(1, _BLOCK // _support(model)[0].size)
+            # Two blocks and one z; three blocks and one z (a block to
+            # each of three workers); five blocks ending partway (three
+            # workers hold one, two and two blocks).
+            for n in (rows + 1, 2 * rows + 1, 4 * rows + rows // 2):
+                zs = rng.uniform(-8.0, 12.0, n)
+                # One block per call: computed on the caller's thread.
+                serial = np.concatenate([
+                    h_values(model, zs[i:i + rows])
+                    for i in range(0, n, rows)
+                ])
+                assert np.array_equal(h_values(model, zs), serial)
+
+    def test_threads_switching_every_microsecond(self, models, monkeypatch):
+        # Three workers, switched as often as the interpreter allows:
+        # each still writes only its own share.
+        zs = np.random.default_rng(61).uniform(-8.0, 12.0, 15000)
+        monkeypatch.setattr(hcurve, "_WORKERS", 1)
+        serial = [h_values(model, zs) for model in models]
+        monkeypatch.setattr(hcurve, "_WORKERS", 3)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                for model, expected in zip(models, serial):
+                    assert np.array_equal(h_values(model, zs), expected)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    def test_one_block_starts_no_thread(self, readme_model, monkeypatch):
+        monkeypatch.setattr(hcurve, "_WORKERS", 3)
+        monkeypatch.setattr(hcurve, "threading", SimpleNamespace(
+            Thread=must_not_run
+        ))
+        rows = _BLOCK // _support(readme_model)[0].size
+        h_values(readme_model, np.linspace(-5.0, 5.0, rows))
+        h_curve(readme_model, np.linspace(-5.0, 9.0, 141))
+        z_for_h(readme_model, 0.9)
+
+    def test_failure_in_a_later_share_reaches_the_caller(
+        self, readme_model, monkeypatch
+    ):
+        monkeypatch.setattr(hcurve, "_WORKERS", 2)
+        caller, exp = threading.current_thread(), np.exp
+
+        def exp_failing_off_the_caller(x, out=None):
+            if threading.current_thread() is not caller:
+                raise FloatingPointError("exp failed in a worker")
+            return exp(x, out=out)
+
+        monkeypatch.setattr(np, "exp", exp_failing_off_the_caller)
+        rows = _BLOCK // _support(readme_model)[0].size
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="in a worker"):
+            h_values(readme_model, np.zeros(3 * rows))
+        assert threading.active_count() == before
+
+    def test_nan_refused_before_any_thread(self, readme_model, monkeypatch):
+        monkeypatch.setattr(hcurve, "_WORKERS", 2)
+        monkeypatch.setattr(hcurve, "threading", SimpleNamespace(
+            Thread=must_not_run
+        ))
+        zs = np.zeros(3 * _BLOCK // _support(readme_model)[0].size)
+        zs[-1] = np.nan
+        with pytest.raises(ValueError, match=f"1 of {zs.size} z values"):
+            h_values(readme_model, zs)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_infinite_z_saturate(self, readme_model, monkeypatch, workers):
+        monkeypatch.setattr(hcurve, "_WORKERS", workers)
+        zs = np.random.default_rng(59).uniform(-8.0, 12.0, 1500)
+        zs[::7], zs[3::7] = np.inf, -np.inf
+        finite = np.isfinite(zs)
+        h = h_values(readme_model, zs)
+        assert np.all(h[zs == np.inf] == 1.0)
+        assert np.all(h[zs == -np.inf] == 0.0)
+        monkeypatch.setattr(hcurve, "_WORKERS", 1)
+        assert np.array_equal(h[finite], h_values(readme_model, zs[finite]))
+
+
 class TestLogsumexpReference:
     """The max-shifted kernel against the two-logsumexp formula."""
 
@@ -233,6 +348,23 @@ class TestZForH:
         all_pos = PriorModel.from_masses([1.0, 2.0], [0.5, 0.5])
         with pytest.raises(HRangeError):
             z_for_h(all_pos, 0.9)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol, monkeypatch):
+        # Refused before any h: tol 0 would bisect forever once the
+        # midpoint rounds onto an end, and NaN would skip the bisection.
+        monkeypatch.setattr(hcurve, "h_values", must_not_run)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            z_for_h(two_point(), 0.9, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-20, 5e-324])
+    def test_tol_below_the_float_spacing_ends_at_adjacent_floats(self, tol):
+        # A positive tol narrower than the spacing of floats at the root
+        # used to bisect forever: the bracket stops at adjacent floats.
+        model = two_point()
+        z_star = z_for_h(model, 0.9, tol=tol)
+        assert h_probability(model, z_star) >= 0.9
+        assert h_probability(model, np.nextafter(z_star, -np.inf)) < 0.9
 
     def test_round_trip_where_strictly_increasing(self):
         model = two_point(0.3, -2.0, 1.0)

@@ -236,6 +236,28 @@ class TestPropose:
                 led.propose(trial_id, 1, B, 0.025)
             assert led.entries() == ()
 
+    def test_delta_sum_past_the_largest_float_refused(self, tmp_path):
+        # Each m * rho is a float; the sum of two is not.  The second
+        # proposal is refused naming the sum, and nothing is written; a
+        # file holding both does not replay.
+        path = tmp_path / "l.jsonl"
+        with Ledger.create(
+            path, "frequentist", budget=1.0, rho_hat=1.0
+        ) as led:
+            assert led.propose("a", 10**308, B, 5e-324).accepted
+            before, sums = path.read_bytes(), led.running_sums()
+            with pytest.raises(LedgerError, match="sum of deltas passes"):
+                led.propose("b", 10**308, B, 5e-324)
+            assert path.read_bytes() == before
+            assert led.running_sums() == sums
+        lines = path.read_text(encoding="utf-8").splitlines()
+        entry = json.loads(lines[1])
+        entry.update(sequence=2, trial_id="b")
+        lines.append(json.dumps(entry, separators=(",", ":"), sort_keys=True))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(LedgerCorruptError, match="line 3: sum of deltas"):
+            Ledger.open(path)
+
 
 class TestRecordOutcome:
     def test_positive_spends_contribution(self, tmp_path):
