@@ -132,10 +132,15 @@ def _support(model) -> Tuple[np.ndarray, np.ndarray, int]:
     ``theta_grid`` is ascending, so the null points (theta <=
     ZERO_TOLERANCE) are the first k of the support.  The prior has null
     mass iff k > 0 and positive mass iff k < support size.
+
+    Raises:
+        ValueError: if no grid point has positive mass.
     """
     theta = np.asarray(model.theta_grid, dtype=float)
     g = np.asarray(model.masses, dtype=float)
     keep = g > 0.0
+    if not keep.any():
+        raise ValueError("the model has no grid point with positive mass")
     theta = theta[keep]
     k = int(np.searchsorted(theta, ZERO_TOLERANCE, side="right"))
     return theta, np.log(g[keep]), k
@@ -157,7 +162,7 @@ def h_values(model, z) -> np.ndarray:
         Array of h probabilities, same shape as ``z``.
 
     Raises:
-        ValueError: if any z is NaN.
+        ValueError: if any z is NaN, or no grid point has positive mass.
     """
     z_arr = np.asarray(z, dtype=float)
     n_nan = int(np.count_nonzero(np.isnan(z_arr)))

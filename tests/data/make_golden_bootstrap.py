@@ -8,14 +8,21 @@ Usage::
 Writes ``golden_bootstrap.json`` to OUTDIR (default: this directory).
 For each case, a small README-shape corpus fitted with the README
 configuration, it records the ``fit_g_path`` coefficients, objective
-trace and log-likelihood, and the ``bootstrap`` rho samples, failure
-count and h bands.  Each case has at least one bootstrap replicate that
-does not converge: whether a replicate converges is decided at the
-floating-point noise floor, so the file pins every Newton iterate, not
-only the converged answers.  The committed copy was written by the fit
-that built a new likelihood matrix for every fit and every replicate and
-allocated its Newton temporaries afresh; a later fit must reproduce it
-bit for bit.  Floats are stored as JSON numbers, which round-trip
+trace, log-likelihood and per-stage ``path`` record, and the
+``bootstrap`` rho samples, failure count and h bands.  Each case has at
+least one bootstrap replicate that does not converge: whether a
+replicate converges is decided at the floating-point noise floor, so the
+file pins every Newton iterate, not only the converged answers.
+
+The ``bootstrap`` half was written by the fit that built a new
+likelihood matrix for every fit and every replicate and allocated its
+Newton temporaries afresh.  The ``fit_g_path`` half was rewritten when
+the path began at the moment-matched normal prior and stopped its
+warm-up stages at a gradient norm of 0.1: the final penalized
+objectives agree with the old ones to within one unit in the last place
+and the log-likelihoods to 5e-12 relative, and the ``bootstrap`` half
+stayed byte for byte what it was.  A later fit must reproduce both
+halves bit for bit.  Floats are stored as JSON numbers, which round-trip
 exactly.  The file was written with numpy 2.4.6 and OpenBLAS 0.3.31
 (Haswell kernels, x86-64) and reads the same with one or two OpenBLAS
 threads; another BLAS build may round differently.
@@ -71,6 +78,7 @@ def run_case(corpus_seed, boot_seed):
             "iterations": int(model.diagnostics["iterations"]),
             "converged": bool(model.converged),
             "log_likelihood": float(model.log_likelihood),
+            "path": model.diagnostics["path"],
         },
         "bootstrap": {
             "rho_samples": _floats(boot.rho_samples),

@@ -238,6 +238,26 @@ class TestFit:
         )
         assert code == 1
 
+    def test_penalty_path_stages_are_stored(self, capsys, tmp_path):
+        corpus = self._corpus(capsys, tmp_path)
+        model_path = tmp_path / "model.json"
+        code, out, _ = run(capsys, "fit", str(corpus), "--out",
+                           str(model_path), "--penalty", "0.25",
+                           "--penalty-path", "1.0,0.5,0.1")
+        assert code == 0
+        path = PriorModel.from_json(model_path).diagnostics["path"]
+        assert [stage["penalty_c0"] for stage in path] == [1.0, 0.5, 0.25]
+        assert f"({path[-1]['iterations']} iterations" in out
+
+    @pytest.mark.parametrize("spec", ["nan,1.0", "-1,0.5", "inf"])
+    def test_bad_penalty_path_is_data_error(self, capsys, tmp_path, spec):
+        corpus = self._corpus(capsys, tmp_path)
+        code, _, err = run(
+            capsys, "fit", str(corpus), f"--penalty-path={spec}"
+        )
+        assert code == 2
+        assert "penalty_path entries must be finite and >= 0" in err
+
     def test_bootstrap_prints_ci_and_stores_bands(self, capsys, tmp_path):
         corpus = self._corpus(capsys, tmp_path)
         model_path = tmp_path / "model.json"

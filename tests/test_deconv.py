@@ -14,6 +14,8 @@ from scipy.stats import norm as scipy_norm
 from enfp.deconv import (
     FitConfig,
     _fit_alpha,
+    _masses_from_coefficients,
+    _moment_start,
     ObservationSet,
     PriorModel,
     bootstrap,
@@ -24,6 +26,7 @@ from enfp.deconv import (
     natural_spline_basis,
     rho_from_g,
 )
+from enfp.records_io import extract_observations, synthesize_corpus
 
 # Fit configuration used for the recovery tests: flexible basis with a
 # light penalty reached by continuation.  The package defaults (df=6,
@@ -280,6 +283,14 @@ class TestPriorModelSerialization:
                 masses=np.array([0.25, 0.25]),
             )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "masses", [[0.0, 0.0], [math.inf, 1.0], [math.nan, 1.0]]
+    )
+    def test_from_masses_refuses_a_bad_total_without_warning(self, masses):
+        with pytest.raises(ValueError, match="positive finite total"):
+            PriorModel.from_masses([-1.0, 1.0], masses)
+
 
 class TestBootstrap:
     SMALL_CFG = FitConfig(
@@ -408,8 +419,9 @@ def _three_kinds(seed, n=120):
 
 class TestBitIdentity:
     """The fit reuses one likelihood matrix per observation set and grid
-    and gathers bootstrap rows from it; every iterate must stay what a
-    fresh build per fit and per replicate gave."""
+    and gathers bootstrap rows from it; every bootstrap iterate must stay
+    what a fresh build per fit and per replicate gave.  The golden
+    ``fit_g_path`` half pins the moment-started path's iterates."""
 
     @pytest.mark.parametrize(
         "case",
@@ -528,3 +540,128 @@ class TestStopReason:
             res.failed_replicates
         )
         json.dumps(res.to_dict())
+
+
+# RECOVERY_CFG is also the README's fit configuration.
+README_PATH = (1.0, 0.25, 0.05)
+
+
+def readme_obs(seed):
+    """A README-shape corpus: 1221 exact and 172 censored z."""
+    return extract_observations(synthesize_corpus(seed=seed))
+
+
+def start_moments(obs, cfg):
+    """Mean and variance of theta under the path's starting prior."""
+    theta = cfg.theta_grid()
+    basis = natural_spline_basis(theta, cfg.basis_df)
+    g = _masses_from_coefficients(basis, _moment_start(obs, cfg))
+    mean = float(g @ theta)
+    return mean, float(g @ (theta - mean) ** 2)
+
+
+def zero_start_path(obs, cfg, penalty_path):
+    """The path as a chain of ``fit_g`` stages from the uniform prior,
+    each converged to cfg.gradient_tolerance."""
+    warm = None
+    for c0 in sorted(penalty_path, reverse=True):
+        if c0 > cfg.penalty_c0:
+            stage = fit_g(
+                obs, dataclasses.replace(cfg, penalty_c0=c0), warm_start=warm
+            )
+            warm = stage.coefficients
+    return fit_g(obs, cfg, warm_start=warm)
+
+
+class TestPenaltyPath:
+    def test_readme_corpus_path_iterations(self):
+        # From the uniform prior, every stage run to full tolerance, the
+        # same path takes 42 Newton iterations.
+        model = fit_g_path(readme_obs(7), RECOVERY_CFG, README_PATH)
+        path = model.diagnostics["path"]
+        assert [stage["penalty_c0"] for stage in path] == [
+            1.0, 0.25, 0.05, 0.01
+        ]
+        assert all(s["stop_reason"] == "gradient_tolerance" for s in path)
+        assert path[-1]["iterations"] == model.diagnostics["iterations"]
+        assert sum(stage["iterations"] for stage in path) <= 30
+        assert model.diagnostics["gradient_norm"] < 1e-8
+
+    def test_path_record_survives_json(self, tmp_path):
+        cfg = FitConfig(basis_df=8, penalty_c0=0.25)
+        model = fit_g_path(mixture_obs(3, n=400), cfg)
+        path = model.diagnostics["path"]
+        assert [stage["penalty_c0"] for stage in path] == [1.0, 0.25]
+        model.to_json(str(tmp_path / "model.json"))
+        loaded = PriorModel.from_json(str(tmp_path / "model.json"))
+        assert loaded.diagnostics["path"] == model.diagnostics["path"]
+
+    @pytest.mark.parametrize(
+        "make, seed", [(mixture_obs, 404), (readme_obs, 8)],
+        ids=["c3-404", "readme-8"],
+    )
+    def test_start_matches_the_moments_of_z(self, make, seed):
+        obs = make(seed)
+        z = np.asarray(obs.exact_z)
+        mean, var = start_moments(obs, RECOVERY_CFG)
+        assert mean == pytest.approx(z.mean(), abs=0.02)
+        assert var == pytest.approx(z.var() - 1.0, rel=0.02)
+
+    def test_start_variance_is_floored(self):
+        rng = np.random.default_rng(12)
+        obs = ObservationSet(exact_z=tuple(2.0 + 0.7 * rng.normal(size=300)))
+        assert np.var(obs.exact_z) < 1.0
+        mean, var = start_moments(obs, RECOVERY_CFG)
+        assert mean == pytest.approx(np.mean(obs.exact_z), abs=0.02)
+        assert var == pytest.approx(0.25, rel=0.02)
+        model = fit_g_path(obs, RECOVERY_CFG, README_PATH)
+        assert model.converged
+
+    @pytest.mark.parametrize(
+        "exact, zero_start",
+        [
+            pytest.param((), True, id="all_censored"),
+            pytest.param((2.5,), True, id="one_exact_z"),
+            pytest.param(
+                (math.inf, -math.inf, 2.5, 3.0, 1.0), False, id="infinite_z"
+            ),
+        ],
+    )
+    def test_edge_cases_converge(self, exact, zero_start):
+        bands = ((-1.96, 1.96), (1.96, math.inf), (-math.inf, -1.0))
+        obs = ObservationSet(
+            exact_z=exact, censored=tuple(bands[i % 3] for i in range(40))
+        )
+        assert (_moment_start(obs, RECOVERY_CFG) is None) == zero_start
+        model = fit_g_path(obs, RECOVERY_CFG, README_PATH)
+        assert model.converged
+        assert len(model.diagnostics["path"]) == 4
+
+    @pytest.mark.parametrize(
+        "make, seed",
+        [(readme_obs, s) for s in (7, 8, 9)]
+        + [(mixture_obs, s) for s in (101, 102)],
+        ids=["readme-7", "readme-8", "readme-9", "c3-101", "c3-102"],
+    )
+    def test_same_optimum_as_a_zero_start_full_tolerance_path(
+        self, make, seed
+    ):
+        obs = make(seed)
+        model = fit_g_path(obs, RECOVERY_CFG, README_PATH)
+        reference = zero_start_path(obs, RECOVERY_CFG, README_PATH)
+        assert model.converged and reference.converged
+        assert rho_from_g(model) == pytest.approx(
+            rho_from_g(reference), rel=1e-9
+        )
+        assert model.log_likelihood == pytest.approx(
+            reference.log_likelihood, rel=1e-8
+        )
+
+    @pytest.mark.parametrize(
+        "penalty_path",
+        [(math.nan,), (1.0, math.inf), (-1.0, 0.5), (0.25, -math.inf)],
+        ids=["nan", "inf", "negative", "minus_inf"],
+    )
+    def test_bad_penalty_path_is_refused(self, penalty_path):
+        with pytest.raises(ValueError, match="penalty_path"):
+            fit_g_path(mixture_obs(3, n=50), FitConfig(), penalty_path)

@@ -87,6 +87,14 @@ class TestHProbability:
         for z in (-3.0, 0.0, 5.0):
             assert h_probability(model, z) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_model_without_positive_mass_is_refused(self):
+        model = SimpleNamespace(theta_grid=np.array([-1.0, 1.0]),
+                                masses=np.zeros(2))
+        for call in (h_values, h_probability):
+            with pytest.raises(ValueError, match="positive mass"):
+                call(model, 1.0)
+
     def test_closed_form_agreement_within_1e10(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
