@@ -127,8 +127,6 @@ def _rho_spec(text: str):
         if not 0.0 <= rho <= 1.0:
             raise argparse.ArgumentTypeError("rho must lie in [0, 1]")
         out[name] = rho
-    if not out:
-        raise argparse.ArgumentTypeError("no stratum rho values given")
     return out
 
 

@@ -144,6 +144,11 @@ class FitConfig:
             raise ValueError("basis_df must be >= 2")
         if self.penalty_c0 < 0.0:
             raise ValueError("penalty_c0 must be >= 0")
+        if not 0.0 < self.gradient_tolerance < math.inf:
+            raise ValueError("gradient_tolerance must be finite and > 0")
+        for name in ("max_iterations", "min_observations", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def theta_grid(self) -> np.ndarray:
         """Uniform theta grid; points are exact integer multiples of the
@@ -410,15 +415,16 @@ def _fit_alpha(
 ) -> dict:
     """Newton ascent on the penalized log-likelihood in coefficient space.
 
+    Each iteration steps along the first of the Newton direction,
+    increasingly ridged Newton directions and steepest ascent on which a
+    backtracking line search finds an Armijo increase (Boyd &
+    Vandenberghe 2004, section 9.5).
+
     Returns a dict with keys alpha, masses, converged, iterations,
-    gradient_norm, objective_trace and stop_reason: ``gradient_tolerance``
-    (the only converged one), ``stall_window``, ``no_acceptable_step`` or
-    ``max_iterations``.  The line search enforces an Armijo
-    increase; once predicted improvements fall below floating-point
-    resolution of the objective, steps are accepted on a strict decrease
-    of the penalized gradient norm instead (bounded objective dips at
-    noise level), which lets Newton finish its quadratic endgame
-    honestly.
+    gradient_norm, objective_trace and stop_reason:
+    ``gradient_tolerance`` (the only converged one), ``stall_window``
+    (see the stagnation guard), ``no_acceptable_step`` (no direction
+    gave an Armijo step) or ``max_iterations``.
     """
     n_obs, n_grid = p_matrix.shape
     df = basis.shape[1]
@@ -499,9 +505,6 @@ def _fit_alpha(
                 return float(grad @ d)
             return float(grad_l @ d) - c0 * float(np.linalg.norm(d))
 
-        # Candidate ascent directions: Newton, then increasingly ridged
-        # Newton, then steepest ascent.  The first one that passes the
-        # Armijo backtracking search wins.
         scale = max(float(np.trace(-hess)) / df, 1e-8)
 
         def candidate_directions():
@@ -519,10 +522,7 @@ def _fit_alpha(
                 yield d
 
         accepted = False
-        newton_step = None
         for direction in candidate_directions():
-            if newton_step is None:
-                newton_step = direction
             dirderiv = directional_derivative(direction)
             t = 1.0
             while t >= 1e-10:
@@ -537,36 +537,8 @@ def _fit_alpha(
                 break
 
         if not accepted:
-            # Floating-point endgame: improvements are below the
-            # objective's float resolution, so the Armijo test can no
-            # longer certify progress.  Accept the damped Newton step
-            # with the best penalized-gradient-norm decrease whose
-            # objective dip stays at noise level.
-            noise = 256.0 * np.finfo(float).eps * (1.0 + abs(obj))
-            best = None
-            if newton_step is not None:
-                for t in (1.0, 0.5, 0.25):
-                    cand_alpha = alpha + t * newton_step
-                    cand_obj, cand_g, cand_f = evaluate(cand_alpha)
-                    if cand_obj < obj - noise:
-                        continue
-                    _, cand_gnorm, *_rest = penalized_gradient(
-                        cand_alpha, cand_g, cand_f
-                    )
-                    if cand_gnorm < gnorm and (
-                        best is None or cand_gnorm < best[1]
-                    ):
-                        best = (
-                            cand_alpha,
-                            cand_gnorm,
-                            cand_obj,
-                            cand_g,
-                            cand_f,
-                        )
-            if best is None:
-                stop_reason = "no_acceptable_step"
-                break
-            alpha, _, obj, g, f = best
+            stop_reason = "no_acceptable_step"
+            break
 
         trace.append(obj)
         grad, gnorm, s, grad_l, r = penalized_gradient(alpha, g, f)
@@ -581,8 +553,6 @@ def _fit_alpha(
             if stall_count >= stall_limit:
                 stop_reason = "stall_window"
                 break
-    else:
-        iterations = cfg.max_iterations
 
     converged = gnorm < cfg.gradient_tolerance
     if converged:
@@ -749,8 +719,9 @@ class BootstrapResult:
     """Bootstrap distribution of (rho, h-curve) with percentile bands.
 
     ``rho_samples`` and the band arrays cover converged replicates only;
-    ``n_failed`` counts excluded non-convergent refits and
-    ``failed_replicates`` holds their replicate indices, ascending.
+    ``n_failed`` counts excluded non-convergent refits,
+    ``failed_replicates`` holds their replicate indices, ascending, and
+    ``failed_stop_reasons`` each one's optimizer ``stop_reason``.
     """
 
     replicates: int
@@ -763,6 +734,7 @@ class BootstrapResult:
     h_high: Optional[np.ndarray] = None
     seed: int = 0
     failed_replicates: Tuple[int, ...] = ()
+    failed_stop_reasons: Tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return _jsonable(asdict(self))
@@ -792,11 +764,22 @@ def bootstrap(
     Returns:
         BootstrapResult with the rho 2.5/97.5 percentile CI and, when
         z_grid is given, pointwise h bands.
+
+    Raises:
+        RuntimeError: if the full-data fit, which every replicate starts
+            from, does not converge, or if no replicate converges.
     """
     cfg = cfg or FitConfig()
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     base = fit_g(obs, cfg)
+    if not base.converged:
+        raise RuntimeError(
+            "the full-data fit did not converge "
+            f"({base.diagnostics['stop_reason']} after "
+            f"{base.diagnostics['iterations']} iterations); "
+            "cannot start the bootstrap replicates"
+        )
     theta = cfg.theta_grid()
     basis = natural_spline_basis(theta, cfg.basis_df)
     warm = np.asarray(base.coefficients, dtype=float)
@@ -807,12 +790,14 @@ def bootstrap(
     rhos: List[float] = []
     h_rows: List[np.ndarray] = []
     failed: List[int] = []
+    failed_reasons: List[str] = []
     for rep in range(replicates):
         rng = np.random.default_rng([cfg.seed, rep])
         p_matrix = p_full[obs._resample_rows(rng)]
         result = _fit_alpha(p_matrix, basis, cfg, alpha0=warm)
         if not result["converged"]:
             failed.append(rep)
+            failed_reasons.append(result["stop_reason"])
             continue
         model = PriorModel(
             theta_grid=theta,
@@ -849,4 +834,5 @@ def bootstrap(
         h_high=h_high,
         seed=cfg.seed,
         failed_replicates=tuple(failed),
+        failed_stop_reasons=tuple(failed_reasons),
     )

@@ -219,33 +219,23 @@ def h_values(model, z) -> np.ndarray:
     return out.reshape(z_arr.shape)
 
 
-def h_probability(model, z: float, return_saturation: bool = False):
-    """h(z) for a single z, with optional saturation diagnostics.
+def h_probability(model, z: float) -> float:
+    """h(z) for a single z.
 
     The terms are max-shifted before exponentiation, so for finite z the
     value is well defined even far outside the grid support.
-    ``saturated`` is reported when the returned value has collapsed to an
-    exact 0 or 1 although the prior has mass on both sides (i.e. the
-    minority side underflowed), or when z itself is infinite.
 
     Args:
         model: prior model (theta_grid + masses).
         z: the observed statistic.
-        return_saturation: when True, return (h, saturated) instead of h.
 
     Returns:
-        h in [0, 1], or (h, saturated) when requested.
+        h in [0, 1].
 
     Raises:
         ValueError: if z is NaN.
     """
-    h = float(h_values(model, np.asarray([z], dtype=float))[0])
-    if not return_saturation:
-        return h
-    theta, _, k = _support(model)
-    both_sides = 0 < k < theta.size
-    saturated = bool(np.isinf(z) or (h in (0.0, 1.0) and both_sides))
-    return h, saturated
+    return float(h_values(model, np.asarray([z], dtype=float))[0])
 
 
 def h_curve(

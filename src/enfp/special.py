@@ -167,9 +167,10 @@ def erfc(x):
 
 
 def log_norm_pdf(x):
-    """Log of the standard normal density."""
+    """Log of the standard normal density; -inf where x * x overflows."""
     x = np.asarray(x, dtype=float)
-    return -0.5 * x * x - _LOG_SQRT_2PI
+    with np.errstate(over="ignore"):
+        return -0.5 * x * x - _LOG_SQRT_2PI
 
 
 def norm_cdf(x):

@@ -94,6 +94,36 @@ class TestUsageErrors:
         assert code == 1
         assert "action" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["bounds", "--mode", "freq", "--rho", "0.1", "--alphas", "0.1,x"],
+            ["bounds", "--mode", "freq", "--rho", "0.1", "--alphas", ","],
+            ["bounds", "--mode", "freq", "--rho", "x", "--alphas", "0.1"],
+            ["bounds", "--mode", "freq", "--rho", "1.5", "--alphas", "0.1"],
+            ["bounds", "--mode", "freq", "--rho", "us=", "--alphas", "0.1"],
+            ["bounds", "--mode", "freq", "--rho", "us=x", "--alphas", "0.1"],
+            ["bounds", "--mode", "freq", "--rho", "us=2", "--alphas", "0.1"],
+            ["ledger", "init", "l.jsonl", "--mode", "freq", "--stratum", "us"],
+            ["ledger", "init", "l.jsonl", "--mode", "freq", "--stratum",
+             "us=x"],
+            ["ledger", "init", "l.jsonl", "--mode", "freq", "--stratum",
+             "us=1:y"],
+        ],
+        ids=[
+            "alphas_not_a_number", "alphas_empty", "rho_not_a_number",
+            "rho_above_one", "stratum_rho_missing", "stratum_rho_not_a_number",
+            "stratum_rho_above_one", "stratum_without_budget",
+            "stratum_budget_not_a_number", "stratum_rho_of_init_not_a_number",
+        ],
+    )
+    def test_bad_list_and_stratum_values(self, capsys, tmp_path, flags):
+        flags = [str(tmp_path / f) if f == "l.jsonl" else f for f in flags]
+        code, out, err = run(capsys, *flags)
+        assert code == 1
+        assert out == "" and "error: argument" in err
+        assert not (tmp_path / "l.jsonl").exists()
+
     def test_help_lists_every_subcommand(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
@@ -237,6 +267,23 @@ class TestFit:
             capsys, "fit", str(corpus), "--grid-low", "2.0"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-iter", "-1"], ["--seed", "-1"], ["--bootstrap", "1"]],
+        ids=["max_iter", "seed", "bootstrap"],
+    )
+    def test_fit_flags_that_can_never_fit_are_usage_errors(
+        self, capsys, tmp_path, flags
+    ):
+        corpus = self._corpus(capsys, tmp_path)
+        model_path = tmp_path / "model.json"
+        code, out, err = run(
+            capsys, "fit", str(corpus), "--out", str(model_path), *flags
+        )
+        assert code == 1
+        assert out == "" and err.startswith("enfp: error: ")
+        assert not model_path.exists()
 
     def test_penalty_path_stages_are_stored(self, capsys, tmp_path):
         corpus = self._corpus(capsys, tmp_path)
@@ -448,6 +495,29 @@ class TestBounds:
         assert "stratum eu: tau_hat = 0.00125" in out
         assert "stratum us: tau_hat = 0.0075" in out
         assert "total tau_hat = 0.00875" in out
+
+    @pytest.mark.parametrize(
+        "stratum, message",
+        [
+            (None, "a record has no stratum"),
+            ("eu", "no rho given for stratum 'eu'"),
+        ],
+    )
+    def test_freq_stratified_record_without_a_rho(
+        self, capsys, tmp_path, stratum, message
+    ):
+        trials = [
+            single_trial("us-1", 2.0, stratum="us"),
+            single_trial("x-1", 1.0, stratum=stratum),
+        ]
+        path = tmp_path / "trials.csv"
+        records_to_csv(trials, path)
+        code, out, err = run(
+            capsys, "bounds", "--mode", "freq", "--rho", "us=0.1",
+            "--records", str(path),
+        )
+        assert code == 2
+        assert out == "" and message in err
 
     def test_freq_h_policy_records_mismatch(self, capsys, tmp_path):
         trial = TrialRecord(

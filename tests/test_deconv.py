@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm as scipy_norm
 
+from enfp import deconv
 from enfp.deconv import (
     FitConfig,
     _fit_alpha,
@@ -337,6 +339,23 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap(self.small_obs(), self.SMALL_CFG, replicates=1)
 
+    def test_unconverged_base_fit_refused_before_any_replicate(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _fit_alpha(*args, **kwargs)
+
+        monkeypatch.setattr(deconv, "_fit_alpha", counted)
+        cfg = dataclasses.replace(self.SMALL_CFG, max_iterations=1)
+        with pytest.raises(
+            RuntimeError, match=r"\(max_iterations after 1 iterations\)"
+        ):
+            bootstrap(self.small_obs(), cfg, replicates=4)
+        assert len(calls) == 1  # the base fit alone
+
     def test_coverage_at_desk_scale(self):
         # Nested Monte Carlo: 30 independent experiments, wide-separation
         # mixture with true rho = 0.3; the percentile CI must cover the
@@ -380,6 +399,22 @@ class TestObservationSetInputs:
     def test_nan_interval_end_rejected(self, interval):
         with pytest.raises(ValueError):
             ObservationSet(censored=(interval,))
+
+    def test_z_too_large_to_square_fits_without_warning(self):
+        # Each call gets a new set, so each builds the likelihood matrix,
+        # where the z's row is floored.
+        base = readme_obs(0)
+
+        def obs():
+            return ObservationSet(
+                exact_z=base.exact_z + (1e300,), censored=base.censored
+            )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_g(obs()).converged
+            assert fit_g_path(obs()).converged
+            assert bootstrap(obs(), replicates=2).n_converged == 2
 
     def test_one_sided_infinite_intervals_kept(self):
         obs = ObservationSet(
@@ -493,10 +528,11 @@ class TestStopReason:
         assert model.diagnostics["iterations"] == 1
 
     def test_stall_window(self):
-        # A zero tolerance is never met; Newton stalls at the noise floor.
+        # A tolerance of 1e-300 is never met; Newton stalls at the noise
+        # floor.
         model = fit_g(
             mixture_obs(3, n=300),
-            FitConfig(gradient_tolerance=0.0, penalty_c0=0.01),
+            FitConfig(gradient_tolerance=1e-300, penalty_c0=0.01),
         )
         assert not model.converged
         assert model.diagnostics["stop_reason"] == "stall_window"
@@ -536,10 +572,32 @@ class TestStopReason:
         assert all(
             0 <= i < res.replicates for i in res.failed_replicates
         )
+        assert res.failed_stop_reasons == ("stall_window",) * res.n_failed
         assert res.to_dict()["failed_replicates"] == list(
             res.failed_replicates
         )
+        assert res.to_dict()["failed_stop_reasons"] == list(
+            res.failed_stop_reasons
+        )
         json.dumps(res.to_dict())
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("gradient_tolerance", math.nan),
+            ("gradient_tolerance", math.inf),
+            ("gradient_tolerance", 0.0),
+            ("gradient_tolerance", -1.0),
+            ("max_iterations", -5),
+            ("min_observations", -1),
+            ("seed", -1),
+        ],
+    )
+    def test_config_that_can_never_fit_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FitConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            FitConfig.from_dict({name: value})
 
 
 # RECOVERY_CFG is also the README's fit configuration.

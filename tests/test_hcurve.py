@@ -118,16 +118,10 @@ class TestHProbability:
 
     def test_saturation_flags(self):
         model = two_point()
-        h, sat = h_probability(model, -400.0, return_saturation=True)
-        assert h == 0.0 and sat
-        h, sat = h_probability(model, 400.0, return_saturation=True)
-        assert h == 1.0 and sat
-        h, sat = h_probability(model, 2.0, return_saturation=True)
-        assert not sat
-        h, sat = h_probability(model, np.inf, return_saturation=True)
-        assert h == 1.0 and sat
-        h, sat = h_probability(model, -np.inf, return_saturation=True)
-        assert h == 0.0 and sat
+        assert h_probability(model, -400.0) == 0.0
+        assert h_probability(model, 400.0) == 1.0
+        assert h_probability(model, np.inf) == 1.0
+        assert h_probability(model, -np.inf) == 0.0
 
     def test_bounds_always(self):
         rng = np.random.default_rng(17)

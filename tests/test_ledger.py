@@ -556,6 +556,18 @@ class TestCorruption:
         with pytest.raises(LedgerCorruptError):
             Ledger.open(path)
 
+    def test_accepted_proposal_over_the_budget(self, tmp_path):
+        # The header's budget, lowered after two live proposals, admits
+        # the first (projected 0.00225) but not the second (0.0045).
+        path = tmp_path / "l.jsonl"
+        self._freq_ledger(path)
+        _rewrite_line(path, 0, lambda header: header.update(budget=0.003))
+        with pytest.raises(
+            LedgerCorruptError,
+            match=r"^line 3: accepted proposal exceeds the budget",
+        ):
+            Ledger.open(path)
+
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "l.jsonl"
         path.write_text('{"format":"other/9","mode":"frequentist"}\n')
