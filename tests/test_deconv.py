@@ -12,7 +12,6 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import norm as scipy_norm
 
-from enfp import deconv
 from enfp.deconv import (
     FitConfig,
     _fit_alpha,
@@ -348,7 +347,7 @@ class TestBootstrap:
             calls.append(1)
             return _fit_alpha(*args, **kwargs)
 
-        monkeypatch.setattr(deconv, "_fit_alpha", counted)
+        monkeypatch.setattr("enfp.deconv._fit_alpha", counted)
         cfg = dataclasses.replace(self.SMALL_CFG, max_iterations=1)
         with pytest.raises(
             RuntimeError, match=r"\(max_iterations after 1 iterations\)"
