@@ -476,16 +476,6 @@ def _cmd_bounds(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _cmd_ledger_noaction(args) -> int:
-    args.ledger_parser.print_usage(sys.stderr)
-    print(
-        "enfp ledger: error: an action is required "
-        "(init/propose/record/adjust/status)",
-        file=sys.stderr,
-    )
-    return EXIT_USAGE
-
-
 def _cmd_ledger_init(args) -> int:
     from enfp.ledger import Ledger, StratumSpec
 
@@ -497,7 +487,7 @@ def _cmd_ledger_init(args) -> int:
             name: StratumSpec(budget=budget, rho_hat=rho)
             for name, budget, rho in args.stratum
         }
-    led = Ledger.create(
+    with Ledger.create(
         args.path,
         mode,
         budget=args.budget,
@@ -505,11 +495,8 @@ def _cmd_ledger_init(args) -> int:
         model=model,
         strata=strata,
         endpoint_mode=args.endpoint_mode,
-    )
-    try:
+    ) as led:
         st = led.status()
-    finally:
-        led.close()
     print(f"created {mode} ledger at {args.path}")
     _print_status(st, args.path, header=False)
     return EXIT_OK
@@ -708,13 +695,24 @@ def build_parser() -> _Parser:
             "portfolio bounds, spending ledgers, and simulation checks."
         ),
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    # Flags that several commands share, each declared once.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"))
+    endpoints = argparse.ArgumentParser(add_help=False)
+    endpoints.add_argument(
+        "--endpoint-mode",
+        choices=("designated", "tightest"),
+        default="designated",
+    )
+    modes = ("freq", "frequentist", "bayes")
+    sub = parser.add_subparsers(
+        dest="command", metavar="COMMAND", required=True
+    )
 
     p = sub.add_parser(
-        "synth", help="generate a synthetic historical corpus"
+        "synth", parents=[fmt], help="generate a synthetic historical corpus"
     )
     p.add_argument("--out", required=True, help="output records file")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--n-exact", type=int, default=1221)
     p.add_argument("--n-censored", type=int, default=172)
     p.add_argument("--seed", type=int, default=0)
@@ -722,9 +720,10 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.025)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("fit", help="fit the effect-size prior g(theta)")
+    p = sub.add_parser(
+        "fit", parents=[fmt], help="fit the effect-size prior g(theta)"
+    )
     p.add_argument("records", help="trial records file (csv or json)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--out", default=None, help="model JSON path")
     p.add_argument(
         "--bootstrap",
@@ -764,11 +763,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_hcurve)
 
     p = sub.add_parser(
-        "bounds", help="compute tau-hat / omega-hat for a portfolio"
+        "bounds",
+        parents=[fmt, endpoints],
+        help="compute tau-hat / omega-hat for a portfolio",
     )
-    p.add_argument(
-        "--mode", choices=("freq", "frequentist", "bayes"), default=None
-    )
+    p.add_argument("--mode", choices=modes)
     p.add_argument(
         "--rho",
         type=_rho_spec,
@@ -782,13 +781,7 @@ def build_parser() -> _Parser:
         help="comma-separated alpha levels (single-endpoint portfolio)",
     )
     p.add_argument("--records", default=None, help="trial records file")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--model", default=None, help="model JSON (bayes mode)")
-    p.add_argument(
-        "--endpoint-mode",
-        choices=("designated", "tightest"),
-        default="designated",
-    )
     p.add_argument(
         "--ledger",
         default=None,
@@ -797,16 +790,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("ledger", help="drive an error-spending ledger")
-    p.set_defaults(func=_cmd_ledger_noaction, ledger_parser=p)
-    lsub = p.add_subparsers(dest="subaction", metavar="ACTION")
+    lsub = p.add_subparsers(dest="action", required=True)
 
-    q = lsub.add_parser("init", help="create a ledger file")
-    q.add_argument("path")
-    q.add_argument(
-        "--mode",
-        required=True,
-        choices=("freq", "frequentist", "bayes"),
+    q = lsub.add_parser(
+        "init", parents=[endpoints], help="create a ledger file"
     )
+    q.add_argument("path")
+    q.add_argument("--mode", required=True, choices=modes)
     q.add_argument("--budget", type=float, default=None)
     q.add_argument("--rho", type=float, default=None)
     q.add_argument("--model", default=None, help="model JSON (bayes mode)")
@@ -817,11 +807,6 @@ def build_parser() -> _Parser:
         default=None,
         metavar="NAME=BUDGET[:RHO]",
         help="repeatable; creates independent per-stratum budgets",
-    )
-    q.add_argument(
-        "--endpoint-mode",
-        choices=("designated", "tightest"),
-        default="designated",
     )
     q.set_defaults(func=_cmd_ledger_init)
 
@@ -836,19 +821,21 @@ def build_parser() -> _Parser:
     q.add_argument("--stratum", default=None)
     q.set_defaults(func=_cmd_ledger_propose)
 
-    q = lsub.add_parser("record", help="record classified trial outcomes")
+    q = lsub.add_parser(
+        "record", parents=[fmt], help="record classified trial outcomes"
+    )
     q.add_argument("path")
     q.add_argument("--records", required=True)
-    q.add_argument("--format", choices=("csv", "json"), default=None)
     q.add_argument("--model", default=None, help="model JSON (bayes mode)")
     q.set_defaults(func=_cmd_ledger_record)
 
     q = lsub.add_parser(
-        "adjust", help="record post-hoc spend adjustments (bayes)"
+        "adjust",
+        parents=[fmt],
+        help="record post-hoc spend adjustments (bayes)",
     )
     q.add_argument("path")
     q.add_argument("--records", required=True)
-    q.add_argument("--format", choices=("csv", "json"), default=None)
     q.add_argument("--model", default=None, help="model JSON")
     q.add_argument("--note", required=True, help="reason for the adjustment")
     q.set_defaults(func=_cmd_ledger_adjust)
@@ -859,7 +846,9 @@ def build_parser() -> _Parser:
     q.set_defaults(func=_cmd_ledger_status)
 
     p = sub.add_parser(
-        "simulate", help="validate the bounds against a scenario oracle"
+        "simulate",
+        parents=[endpoints],
+        help="validate the bounds against a scenario oracle",
     )
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--replicates", type=int, default=None)
@@ -874,11 +863,6 @@ def build_parser() -> _Parser:
         default=None,
         help="override the oracle prior fed to the Bayesian bound",
     )
-    p.add_argument(
-        "--endpoint-mode",
-        choices=("designated", "tightest"),
-        default="designated",
-    )
     p.add_argument("--out", default=None, help="write the report JSON here")
     p.set_defaults(func=_cmd_simulate)
 
@@ -891,12 +875,6 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        print(
-            f"{parser.prog}: error: a command is required", file=sys.stderr
-        )
-        return EXIT_USAGE
     try:
         return args.func(args)
     except UsageError as exc:

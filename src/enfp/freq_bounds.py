@@ -48,18 +48,18 @@ def _exact(x: float) -> int:
     return n << (_SUM_EXP + 1 - d.bit_length())
 
 
-def _read(total: int, n: int = 1) -> float:
-    """Correctly rounded total * 2**-1074 / n; math.fsum's value at n=1.
+def _read(total: int) -> float:
+    """Correctly rounded total * 2**-1074: math.fsum's value.
 
-    At n=1 a total of over 64 bits rounds as its top 64 bits do unless
-    those end in a tie, and is normal: no division is needed.
+    A total of over 64 bits rounds as its top 64 bits do unless those
+    end in a tie, and is normal: no division is needed.
     """
     cut = total.bit_length() - 64
-    if n == 1 and cut > 0:
+    if cut > 0:
         top = total >> cut
         if top & 0x7FF != 0x400:
             return math.ldexp(top, cut - _SUM_EXP)
-    return total / (n << _SUM_EXP)
+    return total / (1 << _SUM_EXP)
 
 
 def _exact_sum(pairs) -> int:

@@ -301,30 +301,28 @@ def z_for_h(model, h0: float, tol: float = 1e-8) -> float:
             f"h0={h0} outside the attainable open interval (0, 1)"
         )
 
+    def h(z):
+        return h_values(model, np.asarray([z]))[0]
+
+    def widen(edge, step, holds, never):
+        """Step ``edge`` out, doubling ``step``, until ``holds(h(edge))``."""
+        for _ in range(80):
+            if holds(h(edge)):
+                return edge
+            edge += step
+            step *= 2.0
+        raise HRangeError(f"h0={h0} not attainable: curve never {never}")
+
     lo = float(support[0]) - 1.0
     hi = float(support[-1]) + 1.0
-    span = max(hi - lo, 1.0)
-    for _ in range(80):
-        if h_values(model, np.asarray([lo]))[0] < h0:
-            break
-        lo -= span
-        span *= 2.0
-    else:
-        raise HRangeError(f"h0={h0} not attainable: curve never drops below it")
-    span = max(hi - lo, 1.0)
-    for _ in range(80):
-        if h_values(model, np.asarray([hi]))[0] >= h0:
-            break
-        hi += span
-        span *= 2.0
-    else:
-        raise HRangeError(f"h0={h0} not attainable: curve never reaches it")
+    lo = widen(lo, -max(hi - lo, 1.0), lambda v: v < h0, "drops below it")
+    hi = widen(hi, max(hi - lo, 1.0), lambda v: v >= h0, "reaches it")
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # adjacent floats: no narrower bracket exists
             break
-        if h_values(model, np.asarray([mid]))[0] >= h0:
+        if h(mid) >= h0:
             hi = mid
         else:
             lo = mid

@@ -449,27 +449,28 @@ def records_from_json(path: str) -> Tuple[TrialRecord, ...]:
     )
 
 
-def load_records(path: str, fmt: Optional[str] = None) -> Tuple[TrialRecord, ...]:
-    """Load records from CSV or JSON, dispatching on ``fmt`` or extension."""
+def _format_io(path: str, fmt: Optional[str]):
+    """The (reader, writer) of ``fmt``, else of ``path``'s extension."""
     fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "json":
-        return records_from_json(path)
+        return records_from_json, records_to_json
     if fmt == "csv":
-        return records_from_csv(path)
+        return records_from_csv, records_to_csv
     raise ValueError(f"unknown records format {fmt!r}")
+
+
+def load_records(path: str, fmt: Optional[str] = None) -> Tuple[TrialRecord, ...]:
+    """Load records from CSV or JSON, dispatching on ``fmt`` or extension."""
+    reader, _ = _format_io(path, fmt)
+    return reader(path)
 
 
 def save_records(
     records: Iterable[TrialRecord], path: str, fmt: Optional[str] = None
 ) -> None:
     """Write records as CSV or JSON, dispatching on ``fmt`` or extension."""
-    fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
-    if fmt == "json":
-        records_to_json(records, path)
-    elif fmt == "csv":
-        records_to_csv(records, path)
-    else:
-        raise ValueError(f"unknown records format {fmt!r}")
+    _, writer = _format_io(path, fmt)
+    writer(records, path)
 
 
 # ----------------------------------------------------------------------
@@ -530,10 +531,14 @@ def synthesize_corpus(
     ``classify_rejection``.
 
     Raises:
-        ValueError: if fewer than ``n_censored`` draws fall below the
+        ValueError: if ``n_exact`` or ``n_censored`` is negative, if both
+            are 0, or if fewer than ``n_censored`` draws fall below the
             censoring threshold (try another seed or a smaller count).
     """
-    if n_exact < 0 or n_censored < 0 or n_exact + n_censored == 0:
+    for name, count in (("n_exact", n_exact), ("n_censored", n_censored)):
+        if count < 0:
+            raise ValueError(f"{name} must be at least 0, got {count}")
+    if n_exact + n_censored == 0:
         raise ValueError("corpus must contain at least one row")
     if not 0.0 <= null_mass <= 1.0:
         raise ValueError("null_mass must lie in [0, 1]")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from enfp import _fields
-from enfp.freq_bounds import _SUM_EXP, _exact, _read, _tau_from_arrays
+from enfp.freq_bounds import _tau_from_arrays
 from enfp.hcurve import ZERO_TOLERANCE, h_values
 from enfp.trials import (
     FailureRegionType,
@@ -70,7 +70,7 @@ _POLICY_KINDS = ("fixed_alpha", "signal_concordant", "adversarial")
 # Absolute slack for an excess or margin that is zero in exact arithmetic
 # but can round to a few ulps above it: the per-bin excess of the binned
 # concordance checks and the validate_bounds margins.  The mean checks do
-# not rely on it, since _mean_check returns a constant alpha exactly.
+# not rely on it, since their means are exact rationals rounded once.
 _EQ_SLACK = 1e-12
 
 
@@ -426,7 +426,12 @@ class MeanCheck:
     vacuous: bool = False
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        out = dict(self.__dict__)
+        if self.vacuous:
+            # A vacuous check has no means: JSON null, not the NaN token.
+            for key in ("mean_null", "mean_nonnull", "se_diff"):
+                out[key] = None
+        return out
 
 
 @dataclass(frozen=True)
@@ -483,15 +488,6 @@ class ConcordanceReport:
         }
 
 
-def _mean_check(name, alpha, null_mask) -> MeanCheck:
-    """The mean check over per-unit alphas and null flags."""
-    values, index = np.unique(
-        np.asarray(alpha, dtype=float), return_inverse=True
-    )
-    counts = np.bincount(index * 2 + null_mask, minlength=2 * values.size)
-    return _mean_check_counts(name, values, counts.reshape(values.size, 2))
-
-
 def _mean_check_counts(name, values, counts) -> MeanCheck:
     """The mean check from distinct alphas and, per alpha, the count of
     (non-null, null) units.
@@ -502,35 +498,25 @@ def _mean_check_counts(name, values, counts) -> MeanCheck:
     """
     n_null = int(counts[:, 1].sum())
     n_nonnull = int(counts[:, 0].sum())
-    if n_null == 0 or n_nonnull == 0:
-        return MeanCheck(
-            name=name,
-            mean_null=float("nan"),
-            mean_nonnull=float("nan"),
-            se_diff=float("nan"),
-            n_null=n_null,
-            n_nonnull=n_nonnull,
-            passed=True,
-            vacuous=True,
-        )
-    means = []
-    # Exact sums S1, S2 in units of 2**-1074 and 2**-2148; se^2 = sum over
-    # both parts of var / n = Q / (n^2 (n - 1)), Q = n S2 - S1^2, exactly.
-    exact = [_exact(v) for v in np.asarray(values, dtype=float).tolist()]
-    num, den = 0, 1
-    for column in (counts[:, 1], counts[:, 0]):
-        weights = column.tolist()
-        n = sum(weights)
-        s1 = sum(c * x for c, x in zip(weights, exact))
-        s2 = sum(c * x * x for c, x in zip(weights, exact))
-        means.append(_read(s1, n))
-        if n > 1:
-            part_den = n * n * (n - 1)
-            num = num * part_den + (n * s2 - s1 * s1) * den
-            den *= part_den
-    mean_null, mean_nonnull = means
-    se = math.sqrt(num / (den << 2 * _SUM_EXP))
-    passed = mean_null - mean_nonnull <= 3.0 * se + _EQ_SLACK
+    vacuous = n_null == 0 or n_nonnull == 0
+    mean_null = mean_nonnull = se = math.nan
+    if not vacuous:
+        # fractions loads decimal: only a process checking means pays.
+        from fractions import Fraction
+
+        exact = [Fraction(v) for v in np.asarray(values, dtype=float).tolist()]
+        means = []
+        var = Fraction(0)
+        for column in (counts[:, 1], counts[:, 0]):
+            weights = column.tolist()
+            n = sum(weights)
+            s1 = sum(c * x for c, x in zip(weights, exact))
+            means.append(float(s1 / n))
+            if n > 1:
+                s2 = sum(c * x * x for c, x in zip(weights, exact))
+                var += (n * s2 - s1 * s1) / (n * n * (n - 1))
+        mean_null, mean_nonnull = means
+        se = math.sqrt(var)
     return MeanCheck(
         name=name,
         mean_null=mean_null,
@@ -538,7 +524,8 @@ def _mean_check_counts(name, values, counts) -> MeanCheck:
         se_diff=se,
         n_null=n_null,
         n_nonnull=n_nonnull,
-        passed=passed,
+        passed=vacuous or mean_null - mean_nonnull <= 3.0 * se + _EQ_SLACK,
+        vacuous=vacuous,
     )
 
 
@@ -661,7 +648,7 @@ def _draw_counts(draw: PopulationDraw, bin_width: float) -> dict:
             z[rows], draw.theta[rows, j] <= ZERO_TOLERANCE,
             draw.positive[rows], bin_width,
         )
-        fourth = _merge_counts(fourth, {"fourth": part})
+        fourth = _merge_counts(fourth, part)
     return {
         "first": (values, slot_alpha),
         "second": (values, trial_alpha.reshape(k, 2)),
@@ -671,23 +658,21 @@ def _draw_counts(draw: PopulationDraw, bin_width: float) -> dict:
             draw.positive[single],
             bin_width,
         ),
-        "fourth": fourth["fourth"],
+        "fourth": fourth,
     }
 
 
-def _merge_counts(total: dict | None, part: dict) -> dict:
-    """Sum two sets of check counts, aligning their keys."""
+def _merge_counts(total: tuple | None, part: tuple) -> tuple:
+    """Sum two (keys, counts) pairs, aligning their keys."""
     if total is None:
         return part
-    merged = {}
-    for check, (keys, counts) in total.items():
-        part_keys, part_counts = part[check]
-        union = np.union1d(keys, part_keys)
-        summed = np.zeros((union.size, counts.shape[1]), dtype=np.int64)
-        summed[np.searchsorted(union, keys)] += counts
-        summed[np.searchsorted(union, part_keys)] += part_counts
-        merged[check] = (union, summed)
-    return merged
+    keys, counts = total
+    part_keys, part_counts = part
+    union = np.union1d(keys, part_keys)
+    summed = np.zeros((union.size, counts.shape[1]), dtype=np.int64)
+    summed[np.searchsorted(union, keys)] += counts
+    summed[np.searchsorted(union, part_keys)] += part_counts
+    return union, summed
 
 
 def _concordance_from_counts(counts: dict, bin_width: float):
@@ -715,10 +700,11 @@ def check_concordance(draws, bin_width: float = 0.25) -> ConcordanceReport:
     """
     if isinstance(draws, PopulationDraw):
         draws = [draws]
-    counts = None
+    counts = dict.fromkeys(_CHECK_NAMES)
     for draw in draws:
-        counts = _merge_counts(counts, _draw_counts(draw, bin_width))
-    if counts is None:
+        for check, part in _draw_counts(draw, bin_width).items():
+            counts[check] = _merge_counts(counts[check], part)
+    if counts["first"] is None:
         raise ValueError("no draws given")
     return _concordance_from_counts(counts, bin_width)
 
@@ -753,6 +739,8 @@ class SimulationReport:
     def to_dict(self) -> dict:
         out = dict(self.__dict__)
         out["concordance"] = self.concordance.to_dict()
+        if self.concordance.second.vacuous:
+            out["alpha_mean_null"] = out["alpha_mean_nonnull"] = None
         out["bound_violations"] = dict(self.bound_violations)
         if self.replicates < 2:
             # A single replicate carries no spread information; report
@@ -837,13 +825,14 @@ def validate_bounds(
     taus = np.empty(cfg.replicates)
     omegas = np.empty(cfg.replicates)
     positives = np.empty(cfg.replicates)
-    counts = None
+    counts = dict.fromkeys(_CHECK_NAMES)
     for rep in range(cfg.replicates):
         draw = draw_population(cfg, rep)
         fps[rep] = oracle_count_fp(draw)
         positives[rep] = np.count_nonzero(draw.positive)
         # Counts first: their temporaries are gone before omega's copies.
-        counts = _merge_counts(counts, _draw_counts(draw, 0.25))
+        for check, part in _draw_counts(draw, 0.25).items():
+            counts[check] = _merge_counts(counts[check], part)
         taus[rep] = _tau_from_arrays(rho, draw.m, draw.is_type_a, draw.alpha)
         z = draw.z[draw.positive]
         read = _read_endpoints(z, draw.is_type_a[draw.positive], endpoint_mode)

@@ -130,6 +130,35 @@ class TestUsageErrors:
         for name in ("synth", "fit", "hcurve", "bounds", "ledger", "simulate"):
             assert name in out
 
+    SHARED_FLAGS = {
+        "format": "--format {csv,json}",
+        "endpoint": "--endpoint-mode {designated,tightest}",
+        "mode": "--mode {freq,frequentist,bayes}",
+    }
+
+    @pytest.mark.parametrize(
+        "command, shared",
+        [
+            ("synth", {"format"}),
+            ("fit", {"format"}),
+            ("hcurve", set()),
+            ("bounds", {"format", "endpoint", "mode"}),
+            ("ledger", set()),
+            ("ledger init", {"endpoint", "mode"}),
+            ("ledger propose", set()),
+            ("ledger record", {"format"}),
+            ("ledger adjust", {"format"}),
+            ("ledger status", set()),
+            ("simulate", {"endpoint"}),
+        ],
+    )
+    def test_help_of_each_command(self, capsys, command, shared):
+        code, out, err = run(capsys, *command.split(), "--help")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: enfp {command} [-h]")
+        for name, flag in self.SHARED_FLAGS.items():
+            assert (flag in out) == (name in shared), flag
+
 
 class TestSynth:
     def test_writes_requested_shape(self, capsys, tmp_path):
@@ -185,6 +214,16 @@ class TestSynth:
         assert code == 0
         payload = json.loads(path.read_text())
         assert len(payload["trials"]) == 35
+
+    def test_negative_count_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "corpus.csv"
+        code, out, err = run(
+            capsys, "synth", "--out", str(path), "--n-exact", "-5"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "enfp: error: n_exact must be at least 0, got -5\n"
+        assert not path.exists()
 
 
 class TestFit:
@@ -1189,6 +1228,31 @@ class TestSimulateCli:
         assert report["tau_hat_se"] is None
         assert report["realized_fp_se"] is None
         assert report["omega_hat_se"] is None
+
+    def test_vacuous_means_written_as_null(self, capsys, tmp_path):
+        # No null endpoint: both mean checks are vacuous and have no means.
+        scenario = write_scenario(
+            tmp_path, true_prior={"theta": [1.0, 2.0], "mass": [0.5, 0.5]}
+        )
+        report_path = tmp_path / "report.json"
+        code, out, _ = run(
+            capsys, "simulate", str(scenario), "--out", str(report_path)
+        )
+        assert code == 0
+        assert "(vacuous) [E[alpha|null] nan vs E[alpha|effect] nan]" in out
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        report = json.loads(report_path.read_text(), parse_constant=refuse)
+        assert report["alpha_mean_null"] is None
+        assert report["alpha_mean_nonnull"] is None
+        for name in ("first", "second"):
+            check = report["concordance"][name]
+            assert check["vacuous"] and check["n_null"] == 0
+            assert check["mean_null"] is None
+            assert check["mean_nonnull"] is None
+            assert check["se_diff"] is None
 
     def test_invalid_scenario_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -466,6 +466,14 @@ class TestSynthesizeCorpus:
                 effect_sd=0.1,
             )
 
+    @pytest.mark.parametrize(
+        "counts, name",
+        [((-5, 172), "n_exact"), ((10, -1), "n_censored")],
+    )
+    def test_negative_count_refused_by_name(self, counts, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 0"):
+            synthesize_corpus(*counts)
+
     # sha256 of records_to_csv(synthesize_corpus(1221, 172, **kwargs)),
     # recorded before the generator classified its draws as one array.
     PINNED = [
