@@ -31,8 +31,6 @@ import re
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from enfp import _fields
 from enfp.trials import (
     EfficacyMeasure,
@@ -524,11 +522,12 @@ def synthesize_corpus(
     censored trials are left unclassified.
 
     Every record is built once, with its outcome: the censored rows share
-    one immutable censored measure, whose threshold is computed once
-    through the memoized quantile of ``p_to_z``, and each exact draw is
-    classified by ``_rejects``, the rejection rule the oracle applies to
-    its arrays.  The records equal those of classifying each trial with
-    ``classify_rejection``.
+    one immutable censored measure, so the censoring threshold takes a
+    fixed number of quantiles whatever ``n_censored`` is, and each exact
+    draw is classified by ``_rejects``, the rejection rule the oracle
+    applies to its arrays.  The records equal those of classifying each
+    trial with ``classify_rejection``.  Only this function uses numpy,
+    and it imports it itself, so reading and writing records do not.
 
     Raises:
         ValueError: if ``n_exact`` or ``n_censored`` is negative, if both
@@ -542,6 +541,8 @@ def synthesize_corpus(
         raise ValueError("corpus must contain at least one row")
     if not 0.0 <= null_mass <= 1.0:
         raise ValueError("null_mass must lie in [0, 1]")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = n_exact + n_censored
     is_null = rng.random(n) < null_mass

@@ -1,4 +1,4 @@
-"""Standard-normal density, distribution, and quantile functions.
+"""Standard-normal density and distribution functions.
 
 Self-contained double-precision implementations used throughout the
 package so that every probability in the pipeline comes from one audited
@@ -10,8 +10,8 @@ code path:
   error is below 1e-15 over the real line, and ``norm_sf`` keeps good
   *relative* accuracy deep into the upper tail via the scaled-erfc
   branch.
-* ``norm_ppf`` is Wichura's algorithm AS 241 (PPND16), a rational
-  approximation accurate to about 1e-15 in the returned quantile.
+* The normal quantile is not here: ``enfp.trials`` takes it one value
+  at a time from ``statistics.NormalDist().inv_cdf``.
 
 All functions accept scalars or numpy arrays and are vectorized.
 """
@@ -24,7 +24,6 @@ __all__ = [
     "log_norm_pdf",
     "norm_cdf",
     "norm_sf",
-    "norm_ppf",
     "norm_interval_prob",
     "erfc",
 ]
@@ -198,119 +197,3 @@ def norm_interval_prob(low, high):
     upper = low >= 0.0
     out = np.where(upper, norm_sf(low) - norm_sf(high), norm_cdf(high) - norm_cdf(low))
     return np.maximum(out, 0.0)
-
-
-# AS 241 (Wichura 1988), PPND16 coefficient set.
-_PPF_A = np.array(
-    [
-        3.3871328727963666080e00,
-        1.3314166789178437745e02,
-        1.9715909503065514427e03,
-        1.3731693765509461125e04,
-        4.5921953931549871457e04,
-        6.7265770927008700853e04,
-        3.3430575583588128105e04,
-        2.5090809287301226727e03,
-    ]
-)
-_PPF_B = np.array(
-    [
-        4.2313330701600911252e01,
-        6.8718700749205790830e02,
-        5.3941960214247511077e03,
-        2.1213794301586595867e04,
-        3.9307895800092710610e04,
-        2.8729085735721942674e04,
-        5.2264952788528545610e03,
-    ]
-)
-_PPF_C = np.array(
-    [
-        1.42343711074968357734e00,
-        4.63033784615654529590e00,
-        5.76949722146069140550e00,
-        3.64784832476320460504e00,
-        1.27045825245236838258e00,
-        2.41780725177450611770e-01,
-        2.27238449892691845833e-02,
-        7.74545014278341407640e-04,
-    ]
-)
-_PPF_D = np.array(
-    [
-        2.05319162663775882187e00,
-        1.67638483018380384940e00,
-        6.89767334985100004550e-01,
-        1.48103976427480074590e-01,
-        1.51986665636164571966e-02,
-        5.47593808499534494600e-04,
-        1.05075007164441684324e-09,
-    ]
-)
-_PPF_E = np.array(
-    [
-        6.65790464350110377720e00,
-        5.46378491116411436990e00,
-        1.78482653991729133580e00,
-        2.96560571828504891230e-01,
-        2.65321895265761230930e-02,
-        1.24266094738807843860e-03,
-        2.71155556874348757815e-05,
-        2.01033439929228813265e-07,
-    ]
-)
-_PPF_F = np.array(
-    [
-        5.99832206555887937690e-01,
-        1.36929880922735805310e-01,
-        1.48753612908506148525e-02,
-        7.86869131145613259100e-04,
-        1.84631831751005468180e-05,
-        1.42151175831644588870e-07,
-        2.04426310338993978564e-15,
-    ]
-)
-
-
-def _ppf_poly(coef_num, coef_den, r):
-    num = coef_num[7]
-    for i in range(6, -1, -1):
-        num = num * r + coef_num[i]
-    den = coef_den[6]
-    for i in range(5, -1, -1):
-        den = den * r + coef_den[i]
-    den = den * r + 1.0
-    return num / den
-
-
-def norm_ppf(p):
-    """Standard normal quantile Phi^{-1}(p) for p in (0, 1).
-
-    Raises:
-        ValueError: if any p lies outside (0, 1).
-    """
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any(~np.isfinite(p)) or np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("norm_ppf requires 0 < p < 1")
-    q = p - 0.5
-    out = np.empty_like(p)
-
-    central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _ppf_poly(_PPF_A, _PPF_B, r)
-    tail = ~central
-    if np.any(tail):
-        qt = q[tail]
-        r = np.where(qt < 0.0, p[tail], 1.0 - p[tail])
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        val = np.empty_like(r)
-        if np.any(near):
-            val[near] = _ppf_poly(_PPF_C, _PPF_D, r[near] - 1.6)
-        if np.any(~near):
-            val[~near] = _ppf_poly(_PPF_E, _PPF_F, r[~near] - 5.0)
-        out[tail] = np.where(qt < 0.0, -val, val)
-    return out[0] if scalar else out

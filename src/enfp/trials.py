@@ -7,15 +7,15 @@ unblinding.  Everything downstream (prior estimation, h-probabilities,
 error accounting) consumes these value objects.
 
 All types are immutable after construction and safe to share across
-threads.  The normal functions of ``enfp.special``, and numpy with them,
-load only where a quantile or probability is taken, so the types, the
-frequentist rules and omega-hat's endpoint rule run without numpy.
+threads.  Normal quantiles and p-values come from the standard library
+(``statistics`` and ``math``), and numpy loads only for array arguments,
+so the types, the frequentist rules and omega-hat's endpoint rule run
+without numpy.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -48,20 +48,28 @@ class FailureRegionType(enum.Enum):
         return self.value
 
 
-@functools.lru_cache(maxsize=1024)
 def _norm_quantile(p: float) -> float:
-    """The normal quantile of one probability, as a Python float.
+    """The standard normal quantile Phi^{-1}(p) of one probability, as a
+    Python float: ``statistics.NormalDist().inv_cdf``, which is
+    Wichura's AS 241 (Appl. Stat. 37, 1988).
 
-    Memoized: a corpus or a ledger asks for the same few quantiles (one
-    censoring threshold, a handful of alpha splits) over and over, and
-    one call of the array-based ``special.norm_ppf`` costs many times
-    the record it feeds.  The value is ``float(norm_ppf(p))`` bit
-    for bit; a refused ``p`` raises ``norm_ppf``'s ValueError on every
-    call, since exceptions are not cached.
+    Raises:
+        DomainError: if p is not in (0, 1); NaN included, for which
+            ``inv_cdf`` itself would return NaN.
     """
-    from enfp.special import norm_ppf
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"the normal quantile needs 0 < p < 1, got {p}")
+    import statistics
 
-    return float(norm_ppf(p))
+    return statistics.NormalDist().inv_cdf(p)
+
+
+def _upper_quantile(x: float) -> float:
+    """Phi^{-1}(1 - x) for 0 < x < 1.  Where 1 - x rounds to 1, from
+    x = 2**-54 down, it is taken as -Phi^{-1}(x) by symmetry, so a tiny
+    x keeps its quantile; everywhere else it is the quantile of 1 - x."""
+    q = 1.0 - x
+    return _norm_quantile(q) if q < 1.0 else -_norm_quantile(x)
 
 
 # The rules that tell the two types apart, each written once.  Each takes
@@ -72,14 +80,15 @@ def _critical_z(alpha, m, is_type_a):
     """Per-endpoint critical z of a trial-level one-sided alpha: the
     normal quantile at 1 - alpha / m for type A, at 1 - alpha for type B
     (see ``RejectionPolicy.at_alpha``).  The divisor, 1 or m, is
-    written as arithmetic, as in ``_rejects``.  A scalar goes through
-    the memoized ``_norm_quantile``; an array through ``norm_ppf``."""
-    q = 1.0 - alpha / (1 + is_type_a * (m - 1))
-    if isinstance(q, float):
-        return _norm_quantile(q)
-    from enfp.special import norm_ppf
+    written as arithmetic, as in ``_rejects``.  An array, such as the
+    simulator's (design x alpha) table, runs the scalar quantile on
+    each element."""
+    x = alpha / (1 + is_type_a * (m - 1))
+    if isinstance(x, float):
+        return _upper_quantile(x)
+    import numpy as np
 
-    return norm_ppf(q)
+    return np.vectorize(_upper_quantile, otypes=[float])(x)
 
 
 def _rejects(n_exceed, m, is_type_a):
@@ -191,9 +200,8 @@ class EfficacyMeasure:
         """Build a censored measure knowing only that p >= p_threshold.
 
         The resulting interval is the symmetric band |Z| < z0 with
-        z0 = the two-sided critical value at p_threshold, taken through
-        the memoized quantile of :func:`p_to_z`: a file of censored rows
-        at one threshold computes z0 once, with the same value.
+        z0 = the two-sided critical value at p_threshold, as
+        :func:`p_to_z` computes it.
         """
         if not 0.0 < p_threshold < 1.0:
             raise DomainError("p_threshold must lie in (0, 1)")
@@ -261,10 +269,7 @@ class RejectionPolicy:
         Type A (any-endpoint rejection) splits alpha across endpoints,
         Bonferroni style: each critical value is the one-sided normal
         quantile at alpha / m.  Type B (all-endpoint rejection, an
-        intersection-union test) keeps level alpha per endpoint.  The
-        quantile is memoized, so repeated calls with the same (alpha,
-        m, type) compute it once and return the value of a direct
-        ``norm_ppf`` call.
+        intersection-union test) keeps level alpha per endpoint.
 
         Args:
             alpha: trial-level one-sided type I error rate.
@@ -279,6 +284,8 @@ class RejectionPolicy:
         if m < 1:
             raise ValueError("m must be >= 1")
         is_type_a = failure_type is FailureRegionType.A
+        if is_type_a and alpha / m == 0.0:
+            raise DomainError(f"alpha / m underflows to 0 at alpha {alpha}")
         crit = _critical_z(alpha, m, is_type_a)
         return cls(
             mode="alpha_level",
@@ -389,24 +396,26 @@ def p_to_z(p_two_sided: float, direction_favorable: bool) -> float:
     """Convert a two-sided p-value to a signed Z statistic.
 
     z = sign * Phi^{-1}(1 - p/2), with sign +1 when the point estimate
-    favored the intervention and -1 otherwise.  The quantile is
-    memoized per distinct p, and equals a direct ``norm_ppf`` call bit
-    for bit.
+    favored the intervention and -1 otherwise.
 
     Raises:
-        DomainError: if p lies outside (0, 1].
+        DomainError: if p lies outside (0, 1], or is so small that p/2
+            underflows to 0.
     """
     if not 0.0 < p_two_sided <= 1.0:
         raise DomainError(f"p must lie in (0, 1], got {p_two_sided}")
-    magnitude = _norm_quantile(1.0 - p_two_sided / 2.0)
+    half = p_two_sided / 2.0
+    if half == 0.0:
+        raise DomainError(f"p/2 underflows to 0 at p {p_two_sided}")
+    magnitude = _upper_quantile(half)
     return magnitude if direction_favorable else -magnitude
 
 
 def z_to_p(z: float) -> float:
-    """Two-sided p-value of a Z statistic: 2(1 - Phi(|z|))."""
-    from enfp.special import norm_cdf
-
-    return float(2.0 * (1.0 - norm_cdf(abs(z))))
+    """Two-sided p-value of a Z statistic: 2(1 - Phi(|z|)), taken as
+    erfc(|z| / sqrt(2)) so that it keeps its relative accuracy in the
+    tail."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def classify_rejection(trial: TrialRecord, model=None) -> str:

@@ -24,8 +24,10 @@ and the log-likelihoods to 5e-12 relative, and the ``bootstrap`` half
 stayed byte for byte what it was.  A later fit must reproduce both
 halves bit for bit.  Floats are stored as JSON numbers, which round-trip
 exactly.  The file was written with numpy 2.4.6 and OpenBLAS 0.3.31
-(Haswell kernels, x86-64) and reads the same with one or two OpenBLAS
-threads; another BLAS build may round differently.
+(SkylakeX kernels, x86-64 with AVX-512) and reads the same with one or
+two OpenBLAS threads; it does not reproduce under OpenBLAS's Haswell,
+Zen or Sandybridge kernels, and another BLAS build may round
+differently.
 """
 
 import dataclasses

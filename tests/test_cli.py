@@ -1408,6 +1408,33 @@ class TestImportFootprint:
             assert "ledger" in mods, argv
             assert not mods & ARRAY_PATH, argv
 
+    def test_freq_records_bound_and_ledger_record(self, tmp_path, src_env):
+        # Reading records takes normal quantiles (the censored row's
+        # band) from the standard library: records_io loads, numpy not.
+        records = [
+            single_trial("t-1", 2.4),
+            single_trial("t-2", 0.7, alpha=0.05, outcome="negative"),
+            TrialRecord(
+                trial_id="t-3",
+                m=1,
+                failure_type=B,
+                measures=(EfficacyMeasure.censored_at_p(1, 0.05),),
+                policy=RejectionPolicy.at_alpha(0.025, 1, B),
+            ),
+        ]
+        corpus = tmp_path / "corpus.csv"
+        records_to_csv(records, corpus)
+        path = str(tmp_path / "budget.jsonl")
+        Ledger.create(path, "frequentist", budget=1.0, rho_hat=0.09).close()
+        for argv in (
+            ("bounds", "--mode", "freq", "--rho", "0.1", "--records",
+             str(corpus)),
+            ("ledger", "record", path, "--records", str(corpus)),
+        ):
+            mods = enfp_modules_after(src_env, *argv)
+            assert {"records_io", "trials"} <= mods, argv
+            assert not mods & (ARRAY_PATH - {"records_io"}), argv
+
     def test_bayes_ledger_status_and_bound(self, tmp_path, src_env):
         # Replay reads the stored h values through the endpoint rule of
         # enfp.trials: nothing of the array path loads.

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-import enfp.special
+import enfp.trials
 from enfp.records_io import (
     CSV_COLUMNS,
     RecordParseError,
@@ -21,13 +21,11 @@ from enfp.records_io import (
     save_records,
     synthesize_corpus,
 )
-from enfp.special import norm_ppf
 from enfp.trials import (
     EfficacyMeasure,
     FailureRegionType,
     RejectionPolicy,
     TrialRecord,
-    _norm_quantile,
     classify_rejection,
     p_to_z,
 )
@@ -116,7 +114,7 @@ class TestCsvRoundTrip:
 
     def test_p_value_rows_convert_to_signed_z(self, tmp_path):
         path = tmp_path / "p.csv"
-        crit = repr(float(norm_ppf(0.975)))
+        crit = repr(p_to_z(0.05, True))
         rows = [
             ",".join(CSV_COLUMNS),
             f"t-1,1,1,B,,0.05,true,false,{crit},0.025,,,",
@@ -128,6 +126,22 @@ class TestCsvRoundTrip:
             p_to_z(0.05, True), abs=0
         )
         assert recs[1].measures[0].z == -recs[0].measures[0].z
+
+    def test_tiny_p_value_row_loads(self, tmp_path):
+        # 1 - 1e-17 / 2 rounds to 1; the row still takes its quantile.
+        path = tmp_path / "p.csv"
+        crit = repr(p_to_z(0.05, True))
+        rows = [
+            ",".join(CSV_COLUMNS),
+            f"t-1,1,1,B,,1e-17,true,false,{crit},0.025,,,",
+            f"t-2,1,1,B,,5e-324,true,false,{crit},0.025,,,",
+        ]
+        path.write_text("\n".join(rows[:2]) + "\n")
+        (rec,) = records_from_csv(path)
+        assert rec.measures[0].z == p_to_z(1e-17, True) == 8.573944076720885
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(RecordParseError, match="row 3: p/2 underflows"):
+            records_from_csv(path)
 
     def test_interleaved_trial_rows_regroup(self, tmp_path):
         """Rows of different trials may interleave in the file."""
@@ -164,7 +178,7 @@ class TestCsvErrors:
         return path
 
     def test_error_names_the_row(self, tmp_path):
-        crit = repr(float(norm_ppf(0.975)))
+        crit = repr(p_to_z(0.05, True))
         path = self._write(
             tmp_path,
             [
@@ -402,7 +416,7 @@ class TestExtractObservations:
         n_exact = sum(t.m for t in records) - n_censored
         assert len(obs.exact_z) == n_exact
         assert len(obs.censored) == n_censored
-        z0 = float(norm_ppf(1.0 - 0.05 / 2.0))
+        z0 = p_to_z(0.05, True)
         assert obs.censored[0] == (-z0, z0)
         assert 2.3 in obs.exact_z and -4.25 in obs.exact_z
 
@@ -431,7 +445,7 @@ class TestSynthesizeCorpus:
 
     def test_censored_rows_carry_the_threshold_band(self):
         corpus = synthesize_corpus(80, 15, seed=2, censor_p=0.05)
-        z0 = float(norm_ppf(0.975))
+        z0 = p_to_z(0.05, True)
         for trial in corpus:
             meas = trial.measures[0]
             if meas.censored:
@@ -499,32 +513,25 @@ class TestSynthesizeCorpus:
         self, tmp_path, monkeypatch
     ):
         calls = []
-        direct = enfp.special.norm_ppf
+        direct = enfp.trials._norm_quantile
 
         def counting(p):
             calls.append(p)
             return direct(p)
 
-        monkeypatch.setattr(enfp.special, "norm_ppf", counting)
-
-        def count(fn, *args):
-            _norm_quantile.cache_clear()
-            calls.clear()
-            out = fn(*args)
-            _norm_quantile.cache_clear()
-            return out, len(calls)
-
+        monkeypatch.setattr(enfp.trials, "_norm_quantile", counting)
         counts = {}
         for n_censored in (20, 172):
-            corpus, n_synth = count(synthesize_corpus, 1221, n_censored, 7)
+            calls.clear()
+            corpus = synthesize_corpus(1221, n_censored, 7)
+            counts[n_censored] = len(calls)
             path = tmp_path / f"c{n_censored}.csv"
             records_to_csv(corpus, path)
-            loaded, n_read = count(records_from_csv, path)
-            assert loaded == corpus
-            counts[n_censored] = (n_synth, n_read)
+            assert records_from_csv(path) == corpus
         assert counts[20] == counts[172]
-        # alpha = 0.025 and censor_p = 0.05 share the quantile at 0.975.
-        assert counts[172] == (1, 1)
+        # The threshold for the draws, the shared censored measure and
+        # the policy at alpha = 0.025.
+        assert counts[172] == 3
 
     def test_corpus_feeds_the_estimator(self, tmp_path):
         corpus = synthesize_corpus(120, 20, seed=4)

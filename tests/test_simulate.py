@@ -32,13 +32,14 @@ from enfp.simulate import (
     rho_from_prior,
     validate_bounds,
 )
-from enfp.special import norm_cdf, norm_ppf
+from enfp.special import norm_cdf
 from enfp.trials import (
     EfficacyMeasure,
     FailureRegionType,
     RejectionPolicy,
     TrialRecord,
     classify_rejection,
+    p_to_z,
 )
 
 A = FailureRegionType.A
@@ -157,7 +158,7 @@ class TestCalibration:
             seed=11,
         )
         rate = draw_population(cfg).positive.mean()
-        expected = float(norm_cdf(5.0 - norm_ppf(0.975)))
+        expected = float(norm_cdf(5.0 - p_to_z(0.05, True)))
         assert_allclose(expected, 0.9988, atol=5e-5)
         se = math.sqrt(expected * (1 - expected) / cfg.n_trials)
         assert abs(rate - expected) <= 3 * se

@@ -2,13 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from enfp.deconv import PriorModel
 from enfp.hcurve import h_values
-from enfp.special import norm_ppf
 from enfp.trials import (
     CannotClassifyError,
     DomainError,
@@ -21,6 +21,7 @@ from enfp.trials import (
     _in_failure_region,
     _norm_quantile,
     _rejects,
+    _upper_quantile,
     classify_rejection,
     p_to_z,
     standardize,
@@ -64,9 +65,8 @@ class TestStandardize:
 
 class TestPToZ:
     def test_p005_favorable(self):
-        # Frozen oracle: Phi^{-1}(0.975) from the AS241 quantile,
-        # cross-checked against the high-precision series oracle in
-        # test_special.py.
+        # Frozen oracle: Phi^{-1}(0.975), cross-checked against the
+        # high-precision series oracle in test_special.py.
         assert_allclose(p_to_z(0.05, True), 1.959963984540054, atol=1e-12)
 
     def test_p_one_is_null_median(self):
@@ -93,20 +93,69 @@ class TestPToZ:
                 z = p_to_z(float(p), favorable)
                 assert abs(z_to_p(z) - p) < 1e-10
 
+    def test_tiny_p_against_mpmath(self):
+        # 1 - 1e-17 / 2 rounds to 1, so the quantile is taken in the
+        # lower tail.
+        assert p_to_z(1e-17, True) == 8.573944076720885
+        assert p_to_z(1e-17, False) == -8.573944076720885
+        for p in (1e-17, 1e-300, 5e-324 * 4, 2.0 ** -60):
+            z = p_to_z(p, True)
+            assert ulps_off(z, -_mp_quantile(p / 2)) <= 5, p
 
-class TestQuantileMemo:
-    """The memoized scalar quantile behind p_to_z and at_alpha."""
+    def test_z_to_p_relative_accuracy_in_the_tail(self):
+        # 2 (1 - Phi(z)) would round to 0 from z = 8.3 on; erfc keeps
+        # the digits out to where p nears the smallest normal double.
+        with mpmath.workdps(40):
+            for z in np.linspace(0.0, 37.5, 2000).tolist():
+                exact = mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2))
+                got = z_to_p(z)
+                assert abs(got - exact) <= 1e-12 * exact, z
+                assert z_to_p(-z) == got
 
-    @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
-        _norm_quantile.cache_clear()
-        yield
-        _norm_quantile.cache_clear()
+    def test_half_underflowing_to_zero_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="5e-324"):
+            p_to_z(5e-324, True)
 
-    def test_bit_identical_to_norm_ppf(self):
-        # Both tails, including the far-tail branch (r > 5, p below
-        # about 1.4e-11), the centre, and the branch edges |p - 0.5| =
-        # 0.425.
+    def test_non_increasing_across_the_junction(self):
+        # 1 - p/2 rounds to 1 from p = 2**-53 down.
+        edge = 2.0 ** -53
+        ps = [edge * (1.0 + k * 2.0 ** -52) for k in range(-40, 41)]
+        ps += [edge / 2, edge / 1.5, edge * 1.5, edge * 2, edge * 4]
+        zs = [p_to_z(p, True) for p in sorted(ps)]
+        assert all(a >= b for a, b in zip(zs, zs[1:]))
+        assert p_to_z(edge, True) > p_to_z(math.nextafter(edge, 1.0), True)
+
+
+def _mp_quantile(p):
+    """Phi^{-1}(p) to 60 digits: Newton's method on mpmath's ncdf,
+    started at the double quantile, in the tail where it is accurate."""
+    with mpmath.workdps(60):
+        p = mpmath.mpf(p)
+        sign = 1
+        if p > 0.5:
+            p, sign = 1 - p, -1
+        z = mpmath.mpf(_norm_quantile(float(p)) if p < 0.5 else 0.0)
+        for _ in range(6):
+            z -= (mpmath.ncdf(z) - p) / mpmath.npdf(z)
+        return sign * z
+
+
+def ulps_off(got, exact):
+    """How many doubles apart ``got`` and the double nearest ``exact``
+    are, in units of the latter's last place."""
+    nearest = float(exact)
+    if nearest == 0.0:
+        return 0.0 if got == 0.0 else math.inf
+    return abs(got - nearest) / math.ulp(nearest)
+
+
+class TestNormQuantile:
+    """The package's one normal quantile, statistics' inv_cdf, against
+    mpmath roots."""
+
+    def test_within_5_ulp_over_both_tails(self):
+        # Both tails down to 1e-300 and up to the double below 1, the
+        # centre, and AS 241's branch edges |p - 0.5| = 0.425.
         tail = np.geomspace(1e-300, 0.1, 400)
         ps = np.concatenate(
             [
@@ -117,21 +166,21 @@ class TestQuantileMemo:
             ]
         ).tolist()
         for p in ps:
-            direct = float(norm_ppf(p)).hex()
-            assert _norm_quantile(p).hex() == direct, p
-            assert _norm_quantile(p).hex() == direct, p
+            z = _norm_quantile(p)
+            assert type(z) is float
+            assert ulps_off(z, _mp_quantile(p)) <= 5, p
 
     @pytest.mark.parametrize(
         "bad", [0.0, 1.0, math.nan, math.inf, -math.inf]
     )
-    def test_refusals_repeat_and_are_not_cached(self, bad):
-        with pytest.raises(ValueError) as direct:
-            norm_ppf(bad)
-        for _ in range(2):
-            with pytest.raises(ValueError) as memo:
-                _norm_quantile(bad)
-            assert type(memo.value) is type(direct.value)
-            assert _norm_quantile.cache_info().currsize == 0
+    def test_refusals(self, bad):
+        with pytest.raises(DomainError, match="0 < p < 1"):
+            _norm_quantile(bad)
+
+    def test_upper_quantile_keeps_the_bits_of_one_minus_x(self):
+        for x in (0.1, 0.025, 0.0125, 1e-3, 2e-4, 1e-12, 2.0 ** -53):
+            assert _upper_quantile(x) == _norm_quantile(1.0 - x)
+        assert _upper_quantile(2.0 ** -54) == -_norm_quantile(2.0 ** -54)
 
 
 class TestClassifyRejection:
@@ -187,6 +236,15 @@ class TestClassifyRejection:
             (1.959963984540054, 1.959963984540054),
             atol=1e-12,
         )
+
+    def test_tiny_alpha_keeps_its_quantile(self):
+        # 1 - 1e-17 rounds to 1; the quantile comes from the lower tail.
+        policy = RejectionPolicy.at_alpha(1e-17, 1, FailureRegionType.B)
+        assert policy.per_endpoint_critical_z == (-_norm_quantile(1e-17),)
+        assert ulps_off(policy.per_endpoint_critical_z[0],
+                        -_mp_quantile(1e-17)) <= 5
+        with pytest.raises(DomainError, match="underflows"):
+            RejectionPolicy.at_alpha(5e-324, 2, FailureRegionType.A)
 
     def test_censored_measure_cannot_classify(self):
         trial = TrialRecord(
@@ -346,14 +404,18 @@ class TestTypeRules:
         flags = np.array([True, False, True, False, True, False])
         for m in ms.tolist():
             for is_a in (True, False):
-                expected = norm_ppf(1.0 - np.where(is_a, alphas / m, alphas))
-                assert np.array_equal(_critical_z(alphas, m, is_a), expected)
-                for alpha, crit in zip(alphas.tolist(), expected.tolist()):
+                split = (alphas / m if is_a else alphas).tolist()
+                expected = [_norm_quantile(1.0 - x) for x in split]
+                assert _critical_z(alphas, m, is_a).tolist() == expected
+                for alpha, crit in zip(alphas.tolist(), expected):
                     assert _critical_z(alpha, m, is_a) == crit
         # Per-trial columns against the alpha menu, as the simulator asks.
         table = _critical_z(alphas, ms[:, None], flags[:, None])
         split = np.where(flags[:, None], alphas / ms[:, None], alphas)
-        assert np.array_equal(table, norm_ppf(1.0 - split))
+        assert table.dtype == float
+        assert table.tolist() == [
+            [_norm_quantile(1.0 - x) for x in row] for row in split.tolist()
+        ]
 
     def test_critical_z_is_the_policy_table(self):
         alphas = np.array([0.001, 0.025, 0.3])
