@@ -11,7 +11,10 @@ Determinism contract: every replicate draws from
 within a replicate is fixed — (m, t) assignment, effect sizes, shared
 noise factor, idiosyncratic noise, then policy draws.  Identical config
 and seed therefore reproduce identical populations and reports, and
-replicates may run in parallel without changing results.
+replicates may run in parallel without changing results.  The two
+categorical draws, (m, t) and effect sizes, invert the cumulative
+distribution at ``rng.random`` draws: the same stream, and the same
+indices, as ``rng.choice`` with probabilities.
 
 Each replicate's tau-hat comes from the array core of
 ``enfp.freq_bounds``, and its omega-hat reads h at the endpoints the
@@ -73,12 +76,25 @@ _POLICY_KINDS = ("fixed_alpha", "signal_concordant", "adversarial")
 # not rely on it, since their means are exact rationals rounded once.
 _EQ_SLACK = 1e-12
 
+# Buckets of u in _categorical: a power of two, so that u * _BUCKETS is
+# exact, and wide enough that few u share a bucket with an entry of cdf.
+_BUCKETS = 1024
 
-def _normalizer(values) -> float:
+
+def _normalizer(values, field: str) -> float:
     """What to divide ``values`` by to make them sum to one: their
     ``fsum``, or 1 when that is within rounding of one.  So normalizing
-    twice changes nothing, and a written scenario reads back equal."""
-    total = math.fsum(values)
+    twice changes nothing, and a written scenario reads back equal.
+
+    Raises:
+        ValueError: naming ``field``, if the sum is 0 or overflows.
+    """
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"{field} must have a finite sum > 0")
     return 1.0 if abs(total - 1.0) <= 1e-12 else total
 
 
@@ -110,8 +126,8 @@ class PolicySpec:
             raise ValueError("alpha_menu entries must lie in (0, 1)")
         object.__setattr__(self, "alpha_menu", menu)
         noise = float(self.signal_noise)
-        if not noise >= 0.0:
-            raise ValueError("signal_noise must be >= 0")
+        if not 0.0 <= noise < math.inf:
+            raise ValueError("signal_noise must be finite and >= 0")
         object.__setattr__(self, "signal_noise", noise)
 
     def to_dict(self) -> dict:
@@ -159,11 +175,9 @@ class ScenarioConfig:
             raise ValueError("true_prior needs parallel theta/mass sequences")
         if any(not math.isfinite(t) for t in theta):
             raise ValueError("prior support must be finite")
-        if any(p < 0 for p in mass):
-            raise ValueError("prior masses must be nonnegative")
-        total = _normalizer(mass)
-        if not total > 0:
-            raise ValueError("prior masses sum to zero")
+        if any(not 0.0 <= p < math.inf for p in mass):
+            raise ValueError("true_prior masses must be finite and >= 0")
+        total = _normalizer(mass, "true_prior masses")
         merged_prior: dict = {}
         for t, p in zip(theta, mass):
             merged_prior[t] = merged_prior.get(t, 0.0) + p / total
@@ -189,14 +203,14 @@ class ScenarioConfig:
             prob = float(prob)
             if m < 1:
                 raise ValueError("endpoint count m must be >= 1")
-            if prob < 0:
-                raise ValueError("m_distribution probabilities must be >= 0")
+            if not 0.0 <= prob < math.inf:
+                raise ValueError(
+                    "m_distribution probabilities must be finite and >= 0"
+                )
             if m == 1:
                 t = FailureRegionType.B
             merged[(m, t)] = merged.get((m, t), 0.0) + prob
-        total = _normalizer(merged.values())
-        if not total > 0:
-            raise ValueError("m_distribution probabilities sum to zero")
+        total = _normalizer(merged.values(), "m_distribution probabilities")
         dist = tuple(
             (m, t, p / total)
             for (m, t), p in sorted(
@@ -321,14 +335,14 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
         [t is FailureRegionType.A for _, t, _ in cfg.m_distribution]
     )
     probs = np.array([p for _, _, p in cfg.m_distribution])
-    which = rng.choice(ms.size, size=n, p=probs)
+    which = _categorical(rng, probs, n)
     m = ms[which]
     is_type_a = a_flags[which]
     m_max = int(ms.max())
 
     theta_support = np.asarray(cfg.true_prior[0])
     theta_mass = np.asarray(cfg.true_prior[1])
-    theta_idx = rng.choice(theta_support.size, size=(n, m_max), p=theta_mass)
+    theta_idx = _categorical(rng, theta_mass, (n, m_max))
     theta = theta_support[theta_idx]
     del theta_idx
 
@@ -342,8 +356,10 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
     del common
 
     valid = np.arange(m_max)[None, :] < m[:, None]
-    np.copyto(theta, np.nan, where=~valid)
-    np.copyto(z, np.nan, where=~valid)
+    padding = ~valid
+    np.putmask(theta, padding, np.nan)
+    np.putmask(z, padding, np.nan)
+    del padding
 
     menu, menu_index = _policy_alphas(rng, cfg.policy, theta, valid, m)
     alpha = menu[menu_index]
@@ -369,6 +385,30 @@ def draw_population(cfg: ScenarioConfig, replicate: int = 0) -> PopulationDraw:
         positive=positive,
         null_truth=null_truth,
     )
+
+
+def _categorical(rng, p, size):
+    """Indices into ``p`` drawn with probabilities ``p``: the bits of
+    ``rng.choice(p.size, size, p=p)``, leaving ``rng`` in the same state.
+
+    Like ``choice``, it takes one ``rng.random(size)`` draw u and returns
+    the number of entries of ``cdf = cumsum(p) / cdf[-1]`` at or below
+    each u, without ``choice``'s checks of ``p``, which ``ScenarioConfig``
+    has already made.  Every u in a bucket [b, b + 1) / _BUCKETS that no
+    entry of cdf falls inside has the same number, so it is looked up by
+    bucket; only a u in a bucket that holds an entry is searched for,
+    which is faster than a binary search for each of the unsorted u.
+    """
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    starts = np.arange(_BUCKETS + 1) / _BUCKETS
+    count = cdf.searchsorted(starts[:-1], side="right")
+    count[count != cdf.searchsorted(starts[1:], side="left")] = -1
+    index = count.take((u * _BUCKETS).astype(np.intp))
+    split = np.flatnonzero(index < 0)
+    index.flat[split] = cdf.searchsorted(u.flat[split], side="right")
+    return index
 
 
 def _row_counts(mask):

@@ -4,13 +4,21 @@ Usage::
 
     PYTHONPATH=src python tests/data/make_golden_ledgers.py OUTDIR
 
-Writes ``golden_freq.jsonl`` and ``golden_bayes.jsonl`` to OUTDIR, each
-with a ``.expected.json`` holding the live ``status()`` and
-``running_sums()`` right after the last write.  The committed copies were
-written by the ledger that re-summed its history with ``math.fsum`` on
-every operation; replaying them with exact equality shows that a later
-ledger still reads those files to the same state.  Rewriting them changes
-only the timestamps, unless the ledger's arithmetic changed.
+Writes ``golden_freq.jsonl`` and ``golden_bayes_affine.jsonl`` to
+OUTDIR, each with a ``.expected.json`` holding the live ``status()`` and
+``running_sums()`` right after the last write.  The committed
+``golden_freq`` copy was written by the ledger that re-summed its
+history with ``math.fsum`` on every operation; replaying it with exact
+equality shows that a later ledger still reads that file to the same
+state.  Rewriting a file changes only its timestamps, unless the
+ledger's arithmetic, or the h values a Bayesian ledger freezes, changed.
+
+The Bayesian file is ``golden_bayes_affine``, written once h took its
+affine form, z * theta + (log g - theta^2 / 2): that moved the last bits
+of some frozen h values and so of the spending they give.  The
+``golden_bayes`` pair beside it was written by this same operation
+sequence under the earlier ledger and the squared-form h; no script
+writes it any more, and it stays to be replayed.
 """
 
 import json
@@ -88,7 +96,7 @@ def write_bayes(outdir):
         masses[np.argmin(np.abs(grid - theta))] = mass
     model = PriorModel.from_masses(grid, masses)
     rng = np.random.default_rng(20192)
-    path = os.path.join(outdir, "golden_bayes.jsonl")
+    path = os.path.join(outdir, "golden_bayes_affine.jsonl")
     strata = {"onc": StratumSpec(budget=4.0), "cv": StratumSpec(budget=1.5)}
     with Ledger.create(path, "bayes", model=model, strata=strata) as led:
         for i in range(80):

@@ -13,6 +13,7 @@ from enfp import hcurve
 from enfp.deconv import FitConfig, PriorModel, fit_g_path
 from enfp.hcurve import (
     _BLOCK,
+    _NARROW,
     ZERO_TOLERANCE,
     HCurve,
     HRangeError,
@@ -30,6 +31,14 @@ def two_point(w_neg=0.5, theta_neg=-1.0, theta_pos=1.0):
     return PriorModel.from_masses(
         [theta_neg, theta_pos], [w_neg, 1.0 - w_neg]
     )
+
+
+def narrow(points=_NARROW, seed=3):
+    """A prior on ``points`` grid points, by default the widest support
+    that ``h_values`` lays out one column per z, with null and positive
+    halves of 8 or more points."""
+    masses = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 0.0, points)
+    return PriorModel.from_masses(np.linspace(-4.0, 5.0, points), masses)
 
 
 def closed_form_h(z, w_neg, theta_neg, theta_pos):
@@ -169,10 +178,12 @@ class TestHProbability:
 class TestBatchInvariance:
     """h of a z does not depend on the other z evaluated with it."""
 
-    @pytest.mark.parametrize("which", ["readme", "two_point"])
+    @pytest.mark.parametrize("which", ["readme", "two_point", "narrow"])
     def test_batch_equals_scalar_calls(self, which, request):
         if which == "readme":
             model = request.getfixturevalue("readme_model")
+        elif which == "narrow":
+            model = narrow()
         else:
             model = two_point(0.3, -2.0, 1.0)
         zs = np.random.default_rng(41).uniform(-8.0, 12.0, 500)
@@ -185,7 +196,7 @@ class TestBatchInvariance:
         five_point = PriorModel.from_masses(
             [-2.0, -0.5, 1.0, 2.5, 4.0], [0.12, 0.08, 0.24, 0.32, 0.24]
         )
-        for model in (readme_model, five_point):
+        for model in (readme_model, five_point, narrow()):
             # Rows per block shrink as the support grows; tile past two
             # blocks, to a count that ends partway through one.
             rows = max(1, _BLOCK // _support(model)[0].size)
@@ -217,7 +228,8 @@ class TestWorkers:
         five_point = PriorModel.from_masses(
             [-2.0, -0.5, 1.0, 2.5, 4.0], [0.12, 0.08, 0.24, 0.32, 0.24]
         )
-        return (readme_model, five_point, zero_mass_points(readme_model))
+        return (readme_model, five_point, zero_mass_points(readme_model),
+                narrow())
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_equal_to_serial_blocks(self, models, monkeypatch, workers):
@@ -305,6 +317,51 @@ class TestWorkers:
         assert np.array_equal(h[finite], h_values(readme_model, zs[finite]))
 
 
+class TestHugeZ:
+    """h is finite and at its limit at every finite z, however large."""
+
+    BIG = [1e17, 1e154, 1.35e154, 1e300, 1e308, sys.float_info.max]
+    PRIORS = {
+        # Both limits attained: h is 0 at -inf and 1 at +inf.
+        "mixed": (([-1.0, 0.0, 1.0, 2.0], [0.2, 0.2, 0.3, 0.3]), (0.0, 1.0)),
+        "all_null": (([-2.0, -0.5, 0.0], [0.3, 0.3, 0.4]), (0.0, 0.0)),
+        "all_positive": (([0.5, 1.5, 4.0], [0.4, 0.5, 0.1]), (1.0, 1.0)),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("which", sorted(PRIORS))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_saturated_limit_without_warning(self, which, workers,
+                                             monkeypatch):
+        monkeypatch.setattr(hcurve, "_WORKERS", workers)
+        (theta, masses), (low, high) = self.PRIORS[which]
+        model = PriorModel.from_masses(theta, masses)
+        big = np.array(self.BIG)
+        zs = np.concatenate([big, -big])
+        want = [high] * big.size + [low] * big.size
+        assert h_values(model, zs).tolist() == want
+        assert [h_probability(model, z) for z in zs] == want
+        # Scattered through a batch of three blocks, each still equals
+        # its own call.
+        batch = np.random.default_rng(67).uniform(-8.0, 12.0, 3 * _BLOCK)
+        batch[::997] = np.resize(zs, batch[::997].size)
+        got = h_values(model, batch)
+        for i in range(0, batch.size, 997):
+            assert got[i] == h_values(model, batch[i])
+        monkeypatch.setattr(hcurve, "_WORKERS", 1)
+        assert np.array_equal(got, h_values(model, batch))
+
+    @pytest.mark.filterwarnings("error")
+    def test_nondecreasing_into_saturation(self, readme_model):
+        mixed = PriorModel.from_masses(*self.PRIORS["mixed"][0])
+        zs = np.append(np.geomspace(1.0, 1e308, 4000), sys.float_info.max)
+        for model in (mixed, readme_model, zero_mass_points(readme_model)):
+            for sign, limit in ((1.0, 1.0), (-1.0, 0.0)):
+                h = h_values(model, sign * zs)
+                assert np.all(sign * np.diff(h) >= 0.0)
+                assert h[-1] == limit
+
+
 class TestLogsumexpReference:
     """The max-shifted kernel against the two-logsumexp formula."""
 
@@ -316,6 +373,15 @@ class TestLogsumexpReference:
         for _ in range(20):
             masses = 10.0 ** rng.uniform(-30.0, 0.0, grid.size)
             model = PriorModel.from_masses(grid, masses)
+            assert_allclose(
+                h_values(model, self.ZS), logsumexp_h(model, self.ZS),
+                rtol=0.0, atol=1e-13,
+            )
+
+    @pytest.mark.parametrize("points", [2, 5, 8, 16, _NARROW, _NARROW + 1])
+    def test_narrow_priors(self, points):
+        for seed in range(5):
+            model = narrow(points, seed)
             assert_allclose(
                 h_values(model, self.ZS), logsumexp_h(model, self.ZS),
                 rtol=0.0, atol=1e-13,

@@ -895,10 +895,13 @@ def _as_json(value):
 
 
 class TestGoldenReplay:
-    """Files written by the earlier fsum-per-operation ledger (see
-    ``data/make_golden_ledgers.py``) replay to their recorded state."""
+    """Files written by the earlier fsum-per-operation ledger, and the
+    Bayesian file the live ledger writes (see
+    ``data/make_golden_ledgers.py``), replay to their recorded state."""
 
-    @pytest.mark.parametrize("name", ["golden_freq", "golden_bayes"])
+    @pytest.mark.parametrize(
+        "name", ["golden_freq", "golden_bayes", "golden_bayes_affine"]
+    )
     def test_replays_to_recorded_state(self, name):
         expected = json.loads(
             (GOLDEN / f"{name}.expected.json").read_text(encoding="utf-8")
@@ -920,11 +923,15 @@ def _golden_writer():
 class TestGoldenWrite:
     """The live operations write the golden files byte for byte, given
     the clock readings stored in them: one per committed line, none for
-    a rejected proposal."""
+    a rejected proposal.  The Bayesian one is ``golden_bayes_affine``:
+    the older ``golden_bayes`` froze h values of the squared form and is
+    only replayed."""
+
+    WRITTEN = {"freq": "golden_freq", "bayes": "golden_bayes_affine"}
 
     @pytest.mark.parametrize("name", ["freq", "bayes"])
     def test_live_write_is_byte_identical(self, tmp_path, monkeypatch, name):
-        golden = GOLDEN / f"golden_{name}.jsonl"
+        golden = GOLDEN / f"{self.WRITTEN[name]}.jsonl"
         lines = golden.read_text(encoding="utf-8").splitlines()
         stored = [json.loads(raw) for raw in lines]
         stamps = iter(

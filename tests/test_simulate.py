@@ -1,10 +1,12 @@
 """Tests for the Monte Carlo simulator and its oracle diagnostics."""
 
+import hashlib
 import importlib.util
 import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from enfp.simulate import (
     ScenarioConfig,
     _bin_counts,
     _binned_check,
+    _categorical,
     _draw_counts,
     _mean_check_counts,
     _noise_allowance,
@@ -223,6 +226,88 @@ class TestDrawShape:
         outcomes = [record.outcome for record, _ in draw_records(draw)]
         expected = ["positive" if p else "negative" for p in draw.positive]
         assert outcomes == expected
+
+
+GEOMETRIC_300 = np.geomspace(1e-6, 1.0, 300)
+
+
+class TestCategoricalDraw:
+    """The categorical draw has the bits of ``Generator.choice`` and
+    leaves the generator where ``choice`` leaves it."""
+
+    @pytest.mark.parametrize("size", [1, 2000, (1, 1), (1500, 3), (400, 9)])
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [1.0],
+            [0.4, 0.2, 0.2, 0.2],
+            [0.0, 0.3, 0.0, 0.7, 0.0],
+            [1.0, 0.0],
+            [0.0, 1.0],
+            [0.12, 0.08, 0.24, 0.32, 0.24 + 1e-12],
+            [0.12, 0.08, 0.24, 0.32, 0.24 - 1e-12],
+            [1 / 3 + 1e-12, 1 / 3, 1 / 3],
+            list(GEOMETRIC_300 / GEOMETRIC_300.sum()),
+            [0.25, 0.0, 0.25, 0.5],
+            list(np.full(3000, 1.0 / 3000)),
+        ],
+        ids=["k1", "k4", "zeros", "last_zero", "first_zero", "sum_over",
+             "sum_under", "thirds", "k300", "bucket_edges", "k3000"],
+    )
+    def test_equals_generator_choice(self, p, size):
+        p = np.asarray(p)
+        assert abs(p.sum() - 1.0) < 1.01e-12
+        for seed in range(3):
+            ours, numpy_rng = (np.random.default_rng([seed, 5]) for _ in "ab")
+            got = _categorical(ours, p, size)
+            want = numpy_rng.choice(p.size, size, p=p)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert ours.standard_normal() == numpy_rng.standard_normal()
+
+    def test_ties_and_the_top_edge(self):
+        # u on an edge of the normalized cdf goes past it, as in
+        # searchsorted(side="right"), and u between the raw and the
+        # normalized top edge stays below the last index: draws that the
+        # tests above reach with probability about 1e-12.
+        p = np.array([0.25, 0.0, 0.25, 0.5 - 1e-12])
+        cdf = np.cumsum(p) / np.cumsum(p)[-1]
+        u = np.array([cdf[0], cdf[2], np.nextafter(cdf[0], 0.0),
+                      1.0 - 5e-13, 0.0])
+        fixed = SimpleNamespace(random=lambda size: u.reshape(size))
+        assert _categorical(fixed, p, u.size).tolist() == [2, 3, 0, 3, 0]
+
+
+class TestPolicySignal:
+    """The policy signal of a draw with wide rows keeps its bits."""
+
+    # sha256 of the row sums of theta and of the alphas of a draw whose
+    # widest design has 8 or 9 endpoints, rows that numpy does not sum
+    # in order: a column-by-column sum differs in several hundred of the
+    # 3000 row sums.
+    PINNED = {
+        8: (
+            "007350c2b8de4240b95646421741bcfd060e3afff878a591232b18cd0da6b00b",
+            "fe1616c85a5a7b78e53abf3699f5abca9d7021737aa73220dd2e199d2b195c7e",
+        ),
+        9: (
+            "00bae61b81403aff08fa252d6a7000bdd9d651b4d62b4a41c2e7eb8ace56a470",
+            "e955670b62c3587e372f65a9fcca6a7ddf2c1f1ab3a6178fac6f90cd5ff079e2",
+        ),
+    }
+
+    @pytest.mark.parametrize("m_wide", sorted(PINNED))
+    def test_wide_draw_signal_bits_pinned(self, m_wide):
+        cfg = mixed_scenario(
+            true_prior=((-2.1, -0.37, 0.0, 0.93, 2.61, 3.47), MIXED_PRIOR[1]),
+            n_trials=3000,
+            m_distribution=((1, B, 0.3), (3, A, 0.3), (m_wide, B, 0.4)),
+            replicates=1,
+        )
+        draw = draw_population(cfg)
+        sums = np.where(draw.valid, draw.theta, 0.0).sum(axis=1)
+        assert [hashlib.sha256(a.tobytes()).hexdigest()
+                for a in (sums, draw.alpha)] == list(self.PINNED[m_wide])
 
 
 class TestOraclePrior:
@@ -949,6 +1034,25 @@ class TestScenarioIO:
             PolicySpec(kind="fixed_alpha", alpha_menu=(0.0,))
         with pytest.raises(ValueError):
             PolicySpec(kind="signal_concordant", signal_noise=-1.0)
+        with pytest.raises(ValueError, match="signal_noise"):
+            PolicySpec(kind="signal_concordant", signal_noise=math.inf)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_masses_refused_by_name(self, bad):
+        with pytest.raises(ValueError, match="true_prior masses must be fin"):
+            mixed_scenario(true_prior=((-1.0, 1.0), (bad, 1.0)))
+        with pytest.raises(
+            ValueError, match="m_distribution probabilities must be fin"
+        ):
+            mixed_scenario(m_distribution=((1, B, bad), (2, A, 1.0)))
+
+    def test_overflowing_totals_refused_by_name(self):
+        with pytest.raises(ValueError, match="true_prior masses .* sum"):
+            mixed_scenario(true_prior=((-1.0, 1.0), (1e308, 1e308)))
+        with pytest.raises(
+            ValueError, match="m_distribution probabilities .* sum"
+        ):
+            mixed_scenario(m_distribution=((1, B, 1e308), (2, A, 1e308)))
 
     def test_prior_mass_normalized(self):
         cfg = mixed_scenario(true_prior=((-1.0, 2.0), (1.0, 3.0)))
